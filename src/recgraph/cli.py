@@ -27,8 +27,14 @@ from .dataset import (
     reorder_hits_buffs,
     sparsity,
 )
-from .errors import ConfigError, RecgraphError
-from .jumps import JumpSpec, apply_jump, build_recommender_graph, co_rating_pairs
+from .errors import (
+    ConfigError,
+    DegenerateModelError,
+    InvalidDistributionError,
+    RecgraphError,
+    UndefinedMetricError,
+)
+from .jumps import JumpSpec, RecommenderGraph, apply_jump, co_rating_pairs
 from .metrics import (
     connected_components,
     csv_float,
@@ -39,11 +45,6 @@ from .metrics import (
     linf_discrepancy,
     measure_l_pp,
     measure_l_r_l_pm,
-)
-from .errors import (
-    DegenerateModelError,
-    InvalidDistributionError,
-    UndefinedMetricError,
 )
 from .nsw import DirectedModelInput, UndirectedModelInput, predict_l_pm, predict_l_pp, predict_l_r
 from .synth import (
@@ -236,32 +237,39 @@ def sweep_rows(g, w_min, w_max, max_sources=None, seed=0, warn=None):
     """Measure and predict across hammock widths; one SweepRow per width.
 
     Measured l_pp comes from the social graph's giant component; l_r and
-    l_pm follow arcs in the recommender graph.  Predictions use the giant
-    component's degree distributions; degenerate models leave their columns
-    empty.  ``warn`` (a callable) hears about widths where the giant covers
-    under 90% of the vertices, where predictions degrade.
+    l_pm follow arcs in the recommender graph.  Movies are sinks there, so
+    person-to-person distances in G_r are the social distances, and one
+    distance pass gives all three whenever both giants hold the same people.
+    Predictions use the giant component's degree distributions; degenerate
+    models leave their columns empty.  ``warn`` (a callable) hears about
+    widths where the giant covers under 90% of the vertices, where
+    predictions degrade.
     """
     pairs = co_rating_pairs(g)
     total_vertices = g.n_people + g.n_movies
     rows = []
     for w in range(w_min, w_max + 1):
         gs = apply_jump(g, JumpSpec.hammock(w), pairs)
-        gr = build_recommender_graph(g, gs)
+        gr = RecommenderGraph(g, gs)
         report = connected_components(gr)
         n_gp = len(report.giant_people)
         n_gm = len(report.giant_movies)
+        same_giant = connected_components(gs).giant_people == report.giant_people
 
         l_pp_m = l_r_m = l_pm_m = None
         sampled = "all"
-        try:
-            stats = measure_l_pp(gs, max_sources, seed)
-            l_pp_m = stats.l_pp
-            if stats.sampled:
-                sampled = str(stats.sources)
-        except UndefinedMetricError:
-            pass
+        if not same_giant:
+            try:
+                stats = measure_l_pp(gs, max_sources, seed)
+                l_pp_m = stats.l_pp
+                if stats.sampled:
+                    sampled = str(stats.sources)
+            except UndefinedMetricError:
+                pass
         try:
             stats = measure_l_r_l_pm(gr, max_sources, seed)
+            if same_giant:
+                l_pp_m = stats.l_pp
             l_r_m = stats.l_r
             l_pm_m = stats.l_pm
             if stats.sampled:
@@ -419,7 +427,10 @@ def cmd_ws(cfg: RunConfig) -> int:
     modes = REWIRE_MODES if cfg.mode == "both" else (cfg.mode,)
     lines = ["p,l_ratio,c_ratio,mode"]
     for mode in modes:
-        wreath_cfg = WreathConfig(n=cfg.n, k=cfg.k, seed=cfg.seed, mode=mode)
+        try:
+            wreath_cfg = WreathConfig(n=cfg.n, k=cfg.k, seed=cfg.seed, mode=mode)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for point in small_world_curve(wreath_cfg, cfg.p_values, cfg.trials):
             lines.append(f"{csv_float(point.p)},{csv_float(point.l_ratio)},"
                          f"{csv_float(point.c_ratio)},{mode}")

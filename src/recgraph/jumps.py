@@ -78,6 +78,7 @@ class SocialGraph:
             self._ev = np.empty(0, dtype=np.int64)
         self._adj = None
         self._csr = None
+        self._components = None  # ComponentReport, filled by metrics
 
     @classmethod
     def _from_arrays(cls, vertex_ids, eu, ev):
@@ -89,6 +90,7 @@ class SocialGraph:
         g._ev = np.asarray(ev, dtype=np.int64)
         g._adj = None
         g._csr = None
+        g._components = None
         return g
 
     # -- shape -------------------------------------------------------------
@@ -226,6 +228,7 @@ class RecommenderGraph:
         self.ratings = ratings
         self.social = social
         self._out = None
+        self._components = None  # ComponentReport, filled by metrics
 
     @property
     def n_people(self) -> int:
@@ -267,44 +270,3 @@ class RecommenderGraph:
             data = np.ones(len(rows), dtype=np.int8)
             self._out = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
         return self._out
-
-    def arcs(self):
-        """Iterate (src_kind, src_id, dst_kind, dst_id) deterministically.
-
-        Person arcs come first sorted by (src, dst), then rating arcs sorted
-        by (person, movie).
-        """
-        person_pairs = []
-        for u, v in self.social.edge_ids():
-            person_pairs.append((u, v))
-            person_pairs.append((v, u))
-        for src, dst in sorted(person_pairs):
-            yield ("person", src, "person", dst)
-        for p, m in self.ratings.edge_ids():
-            yield ("person", p, "movie", m)
-
-
-def build_recommender_graph(g: BipartiteRatings, gs: SocialGraph) -> RecommenderGraph:
-    """Pair a rating graph with the social graph a jump induced from it."""
-    return RecommenderGraph(g, gs)
-
-
-# -- exports ------------------------------------------------------------------
-
-
-def social_edges_csv(gs: SocialGraph) -> str:
-    """Edge list of G_s: p1,p2 with p1 < p2, ascending."""
-    lines = ["p1,p2"]
-    lines.extend(f"{u},{v}" for u, v in gs.edge_ids())
-    return "\n".join(lines) + "\n"
-
-
-def recommender_arcs_csv(gr: RecommenderGraph) -> str:
-    """Arc list of G_r: src,dst,kind with person arcs first.
-
-    src is always a person id; dst is a person id on "person" arcs and a
-    movie id on "movie" arcs (the id spaces may overlap, so kind matters).
-    """
-    lines = ["src,dst,kind"]
-    lines.extend(f"{s},{d},{dk}" for _, s, dk, d in gr.arcs())
-    return "\n".join(lines) + "\n"

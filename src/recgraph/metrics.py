@@ -100,28 +100,21 @@ class PathLengthStats:
 # -- components ---------------------------------------------------------------
 
 
-def _component_key(people_ids, movie_ids):
-    """Listing order: total size desc, people desc, then smallest vertex id."""
-    if people_ids:
-        anchor = (0, min(people_ids))
-    else:
-        anchor = (1, min(movie_ids))
-    return (-(len(people_ids) + len(movie_ids)), -len(people_ids), anchor)
-
-
 def connected_components(graph) -> ComponentReport:
-    """Component structure of a SocialGraph or RecommenderGraph.
+    """Component structure of a SocialGraph or RecommenderGraph (cached).
 
     People partition by the undirected social edges; isolated people are
     single-person components.  For a recommender graph each movie joins the
     component of its raters, picking the one with the most people (ties to
-    the smaller minimum person id) when raters span several.  Movies never
-    merge person components: their arcs are one-way, so two people belong
-    together only when social edges alone connect them.
+    the smaller minimum person id) when raters span several; unrated movies
+    are components of their own.  Movies never merge person components:
+    their arcs are one-way, so two people belong together only when social
+    edges alone connect them.
 
     Components are listed by total size descending, ties broken toward more
     people and then the smaller minimum vertex id; the first entry is the
-    giant component.
+    giant component.  Both graph types are immutable, so the report is kept
+    on the graph and later calls return it.
     """
     if isinstance(graph, RecommenderGraph):
         social = graph.social
@@ -131,65 +124,55 @@ def connected_components(graph) -> ComponentReport:
         ratings = None
     else:
         raise TypeError(f"expected SocialGraph or RecommenderGraph, got {type(graph).__name__}")
+    if graph._components is None:
+        graph._components = _component_report(social, ratings)
+    return graph._components
 
+
+def _component_report(social: SocialGraph, ratings) -> ComponentReport:
     n = social.n
-    if n == 0 and (ratings is None or ratings.n_movies == 0):
+    if n:
+        n_comp, labels = csgraph.connected_components(social.adjacency_csr(), directed=False)
+    else:
+        n_comp, labels = 0, np.empty(0, dtype=np.int64)
+    people = np.bincount(labels, minlength=n_comp)
+    # vertices are sorted, so a label's first index holds its minimum person id
+    _, first = np.unique(labels, return_index=True)
+    anchor = social.vertices[first]
+    movies = np.zeros(n_comp, dtype=np.int64)
+    movie_ids = movie_label = np.empty(0, dtype=np.int64)
+    if ratings is not None:
+        movie_ids = ratings.movies
+        # rank person components by (people desc, min person id asc); each
+        # movie joins the best-ranked component among its raters
+        by_rank = np.lexsort((anchor, -people))
+        rank = np.empty(n_comp, dtype=np.int64)
+        rank[by_rank] = np.arange(n_comp)
+        best = np.full(ratings.n_movies, n_comp, dtype=np.int64)
+        np.minimum.at(best, ratings.edge_movie_idx, rank[labels[ratings.edge_person_idx]])
+        rated = best < n_comp
+        movie_label = np.empty(ratings.n_movies, dtype=np.int64)
+        movie_label[rated] = by_rank[best[rated]]
+        movies = np.bincount(movie_label[rated], minlength=n_comp)
+        # each unrated movie is a component of its own, labelled after the people's
+        unrated = movie_ids[~rated]
+        movie_label[~rated] = np.arange(n_comp, n_comp + len(unrated))
+        people = np.concatenate([people, np.zeros(len(unrated), dtype=np.int64)])
+        movies = np.concatenate([movies, np.ones(len(unrated), dtype=np.int64)])
+        anchor = np.concatenate([anchor, unrated])
+    if len(people) == 0:
         return ComponentReport((), (), (), 0, True)
 
-    if n:
-        _, labels = csgraph.connected_components(social.adjacency_csr(), directed=False)
-    else:
-        labels = np.empty(0, dtype=np.int64)
-
-    people_by_label = {}
-    for idx, lab in enumerate(labels):
-        people_by_label.setdefault(int(lab), []).append(int(social.vertices[idx]))
-
-    movies_by_label = {}
-    if ratings is not None:
-        # rank labels by (people count desc, min person id asc) for movie assignment
-        rank = {lab: (-len(ids), min(ids)) for lab, ids in people_by_label.items()}
-        raters = {}
-        for pi, mi in zip(ratings.edge_person_idx, ratings.edge_movie_idx):
-            raters.setdefault(int(mi), set()).add(int(labels[pi]))
-        next_label = (max(people_by_label) + 1) if people_by_label else 0
-        for mi in range(ratings.n_movies):
-            movie_id = int(ratings.movies[mi])
-            labs = raters.get(mi)
-            if labs:
-                best = min(labs, key=lambda lab: rank[lab])
-            else:
-                best = next_label  # unrated movie: its own component
-                next_label += 1
-            movies_by_label.setdefault(best, []).append(movie_id)
-
-    all_labels = set(people_by_label) | set(movies_by_label)
-    comps = [
-        (people_by_label.get(lab, []), movies_by_label.get(lab, []))
-        for lab in all_labels
-    ]
-    comps.sort(key=lambda c: _component_key(c[0], c[1]))
-
+    order = np.lexsort((anchor, -people, -(people + movies)))
+    giant = order[0]
     degrees = social.degrees()
-    isolated = int(np.count_nonzero(degrees == 0))
-
-    if comps:
-        giant_people = tuple(sorted(comps[0][0]))
-        giant_movies = tuple(sorted(comps[0][1]))
-    else:
-        giant_people = giant_movies = ()
-    giant_set = set(giant_people)
-    shattered = all(
-        int(degrees[i]) == 0
-        for i, v in enumerate(social.vertices)
-        if int(v) not in giant_set
-    )
+    giant_person = labels == giant
     return ComponentReport(
-        component_sizes=tuple((len(p), len(m)) for p, m in comps),
-        giant_people=giant_people,
-        giant_movies=giant_movies,
-        isolated_people=isolated,
-        shattered=shattered,
+        component_sizes=tuple(zip(people[order].tolist(), movies[order].tolist())),
+        giant_people=tuple(social.vertices[giant_person].tolist()),
+        giant_movies=tuple(movie_ids[movie_label == giant].tolist()),
+        isolated_people=int(np.count_nonzero(degrees == 0)),
+        shattered=not bool(np.any(degrees[~giant_person])),
     )
 
 
@@ -205,8 +188,7 @@ def degree_distribution(gs: SocialGraph, largest_only=False) -> DegreeDistributi
     degrees = gs.degrees()
     if largest_only:
         report = connected_components(gs)
-        keep = [gs._index[v] for v in report.giant_people]
-        degrees = degrees[keep] if keep else degrees[:0]
+        degrees = degrees[np.isin(gs.vertices, report.giant_people)]
     n = len(degrees)
     if n == 0:
         raise UndefinedMetricError("degree distribution of an empty graph")
@@ -223,40 +205,30 @@ def joint_degree_distribution(gr: RecommenderGraph, largest_only=False) -> Joint
     rater count and outdegree 0.  With ``largest_only`` both vertex set and
     arcs are restricted to the giant component (induced counts).
     """
-    social = gr.social
     ratings = gr.ratings
     if largest_only:
         report = connected_components(gr)
-        people = list(report.giant_people)
-        movies = list(report.giant_movies)
+        keep_p = np.isin(ratings.people, report.giant_people)
+        keep_m = np.isin(ratings.movies, report.giant_movies)
     else:
-        people = [int(v) for v in social.vertices]
-        movies = [int(m) for m in ratings.movies]
-    n = len(people) + len(movies)
+        keep_p = np.ones(gr.n_people, dtype=bool)
+        keep_m = np.ones(gr.n_movies, dtype=bool)
+    n = int(keep_p.sum() + keep_m.sum())
     if n == 0:
         raise UndefinedMetricError("joint degree distribution of an empty graph")
 
-    person_sel = {p: i for i, p in enumerate(people)}
-    movie_sel = {m: i for i, m in enumerate(movies)}
-    social_deg = social.degrees()
-    person_out_movies = np.zeros(len(people), dtype=np.int64)
-    movie_in = np.zeros(len(movies), dtype=np.int64)
-    for pi, mi in zip(ratings.edge_person_idx, ratings.edge_movie_idx):
-        p = int(ratings.people[pi])
-        m = int(ratings.movies[mi])
-        if p in person_sel and m in movie_sel:
-            person_out_movies[person_sel[p]] += 1
-            movie_in[movie_sel[m]] += 1
-
-    counts = {}
-    for p, i in person_sel.items():
-        j = int(social_deg[social._index[p]])
-        k = j + int(person_out_movies[i])
-        counts[(j, k)] = counts.get((j, k), 0) + 1
-    for m, i in movie_sel.items():
-        jk = (int(movie_in[i]), 0)
-        counts[jk] = counts.get(jk, 0) + 1
-    probs = {jk: c / n for jk, c in counts.items()}
+    pi, mi = ratings.edge_person_idx, ratings.edge_movie_idx
+    kept = keep_p[pi] & keep_m[mi]
+    social_deg = gr.social.degrees()[keep_p]
+    out_deg = social_deg + np.bincount(pi[kept], minlength=gr.n_people)[keep_p]
+    movie_in = np.bincount(mi[kept], minlength=gr.n_movies)[keep_m]
+    # keys keep first-seen order (people by id, then movies), because
+    # moments_directed sums in dict order and its last bits must not move
+    jk = np.concatenate([np.column_stack([social_deg, out_deg]),
+                         np.column_stack([movie_in, np.zeros_like(movie_in)])])
+    keys, first, counts = np.unique(jk, axis=0, return_index=True, return_counts=True)
+    seen = np.argsort(first)
+    probs = {(j, k): c / n for (j, k), c in zip(keys[seen].tolist(), counts[seen].tolist())}
     return JointDegreeDistribution(probabilities=probs, n=n)
 
 
@@ -292,7 +264,7 @@ def measure_l_pp(gs: SocialGraph, max_sources=None, seed=0) -> PathLengthStats:
     if len(report.giant_people) < 2:
         raise UndefinedMetricError("l_pp needs a giant component with at least 2 people")
     sources, sampled = _pick_sources(report.giant_people, max_sources, seed)
-    src_idx = np.array([gs._index[v] for v in sources], dtype=np.int64)
+    src_idx = np.searchsorted(gs.vertices, sources)
     dist = csgraph.dijkstra(gs.adjacency_csr(), directed=False, indices=src_idx,
                             unweighted=True)
     finite = np.isfinite(dist) & (dist > 0)
@@ -322,8 +294,7 @@ def measure_l_r_l_pm(gr: RecommenderGraph, max_sources=None, seed=0) -> PathLeng
         raise UndefinedMetricError("l_r needs at least one person source in the giant")
     sources, sampled = _pick_sources(report.giant_people, max_sources, seed)
     n_people = gr.n_people
-    person_ix = {int(p): i for i, p in enumerate(gr.ratings.people)}
-    src_idx = np.array([person_ix[v] for v in sources], dtype=np.int64)
+    src_idx = np.searchsorted(gr.ratings.people, sources)
     dist = csgraph.dijkstra(gr.out_csr(), directed=True, indices=src_idx,
                             unweighted=True)
     pp = dist[:, :n_people]
@@ -418,25 +389,8 @@ def csv_float(x) -> str:
     return format(float(x), ".6g")
 
 
-def component_report_csv(report: ComponentReport) -> str:
-    lines = ["component_index,people,movies"]
-    for index, (p, m) in enumerate(report.component_sizes, 1):
-        lines.append(f"{index},{p},{m}")
-    return "\n".join(lines) + "\n"
-
-
 def degree_cdf_csv(entries, log_scale=False) -> str:
     header = "degree,log10_count" if log_scale else "degree,count"
     lines = [header]
     lines.extend(f"{k},{csv_float(c)}" for k, c in entries)
     return "\n".join(lines) + "\n"
-
-
-def path_stats_csv(stats: PathLengthStats) -> str:
-    header = "l_pp,l_r,l_pm,c_pp,c_pm,sampled_sources"
-    row = ",".join([
-        csv_float(stats.l_pp), csv_float(stats.l_r), csv_float(stats.l_pm),
-        str(stats.pairs_pp), str(stats.pairs_pm),
-        str(stats.sources) if stats.sampled else "all",
-    ])
-    return header + "\n" + row + "\n"

@@ -62,6 +62,38 @@ def mean_over_pairs(dist: np.ndarray, rows, cols) -> tuple:
     return (total / count if count else None), count
 
 
+# -- joint degree counts -----------------------------------------------------------
+
+
+def joint_degree_loop(gr, people, movies) -> dict:
+    """(indegree, outdegree) -> fraction over the listed people and movies.
+
+    People count their full social degree; rating arcs count only when both
+    ends are listed.  Keys appear in the order they are first met, people
+    first, as listed.
+    """
+    ratings = gr.ratings
+    social_deg = {int(v): 0 for v in gr.social.vertices}
+    for u, v in gr.social.edge_ids():
+        social_deg[u] += 1
+        social_deg[v] += 1
+    person_out = {int(p): 0 for p in people}
+    movie_in = {int(m): 0 for m in movies}
+    for pi, mi in zip(ratings.edge_person_idx, ratings.edge_movie_idx):
+        p, m = int(ratings.people[pi]), int(ratings.movies[mi])
+        if p in person_out and m in movie_in:
+            person_out[p] += 1
+            movie_in[m] += 1
+    counts = {}
+    for p, out in person_out.items():
+        jk = (social_deg[p], social_deg[p] + out)
+        counts[jk] = counts.get(jk, 0) + 1
+    for m, into in movie_in.items():
+        counts[(into, 0)] = counts.get((into, 0), 0) + 1
+    n = len(person_out) + len(movie_in)
+    return {jk: c / n for jk, c in counts.items()}
+
+
 # -- union-find ---------------------------------------------------------------------
 
 

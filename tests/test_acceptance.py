@@ -13,11 +13,11 @@ from recgraph import (
     DegenerateModelError,
     DegreeDistribution,
     JumpSpec,
+    RecommenderGraph,
     SynthConfig,
     UndirectedModelInput,
     WreathConfig,
     apply_jump,
-    build_recommender_graph,
     bfs_reach_count,
     clustering_coefficient,
     fit_power_law,
@@ -71,7 +71,7 @@ def test_ac01_small_fixture_prediction():
     from test_jumps import four_person_fixture
     g = four_person_fixture()
     gs = apply_jump(g, JumpSpec.hammock(25))
-    gr = build_recommender_graph(g, gs)
+    gr = RecommenderGraph(g, gs)
     joint = joint_degree_distribution(gr)
     value = predict_l_r(DirectedModelInput(joint, g.n_people, g.n_movies))
     _report("AC01", abs(value - 4.24) <= 0.01,

@@ -1,5 +1,5 @@
-from recgraph import BipartiteRatings, SynthConfig, generate_power_law_bipartite
-from recgraph.cli import DEFAULTS, load_config_file, main, resolve_config
+from recgraph import BipartiteRatings, SynthConfig, generate_power_law_bipartite, metrics
+from recgraph.cli import DEFAULTS, load_config_file, main, resolve_config, sweep_rows
 
 
 def write_tab(path, rows):
@@ -90,6 +90,42 @@ def test_sweep_warns_on_thin_giant_coverage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("covers") == 2
     assert "predictions degrade outside the giant" in err
+
+
+def test_sweep_l_pp_follows_social_giant_when_giants_differ():
+    # at w=2 the path 1-2-3 and the triangle 4-5-6 tie on people, so the
+    # social giant is the path (smaller id); person 4's ten extra movies
+    # make the triangle the recommender giant
+    rows = [(p, m) for p in (1, 2) for m in (1, 2)]
+    rows += [(p, m) for p in (2, 3) for m in (3, 4)]
+    rows += [(p, m) for p in (4, 5, 6) for m in (10, 11)]
+    rows += [(4, m) for m in range(20, 30)]
+    (row,) = sweep_rows(BipartiteRatings(rows), 2, 2)
+    assert row.giant_people == 3
+    assert row.giant_movies == 12
+    assert row.l_pp_measured == 4 / 3  # path distances, not the triangle's 1.0
+
+
+def test_sweep_analyses_each_width_once(monkeypatch):
+    calls = {"components": 0, "dijkstra": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metrics.csgraph, "connected_components",
+                        counted("components", metrics.csgraph.connected_components))
+    monkeypatch.setattr(metrics.csgraph, "dijkstra",
+                        counted("dijkstra", metrics.csgraph.dijkstra))
+    g = generate_power_law_bipartite(SynthConfig(n_people=30, n_movies=12, epsilon=0.5, seed=4))
+    for w in (1, 2, 3):
+        calls.update(components=0, dijkstra=0)
+        (row,) = sweep_rows(g, w, w)
+        assert row.components == 1
+        assert calls["components"] <= 2
+        assert calls["dijkstra"] == 1
 
 
 # -- config handling ---------------------------------------------------------------
@@ -231,6 +267,12 @@ def test_ws_single_mode(tmp_path, capsys):
 def test_ws_rejects_bad_p_values(capsys):
     assert main(["ws", "--p-values", "0,banana"]) == 2
     capsys.readouterr()
+
+
+def test_ws_rejects_bad_lattice_shape(capsys):
+    for n, k in (("20", "3"), ("2", "2")):
+        assert main(["ws", "--n", n, "--k", k]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # -- synth-study -------------------------------------------------------------------

@@ -4,14 +4,14 @@ from recgraph import (
     BipartiteRatings,
     GraphMismatchError,
     JumpSpec,
+    RecommenderGraph,
     SocialGraph,
     UnknownNodeError,
     apply_jump,
-    build_recommender_graph,
     co_rating_pairs,
     common_artifacts_count,
 )
-from recgraph.jumps import HAMMOCK, SKIP, recommender_arcs_csv, social_edges_csv
+from recgraph.jumps import HAMMOCK, SKIP
 
 from oracles import hammock_edges_bruteforce, random_ratings
 
@@ -184,7 +184,7 @@ def test_four_person_fixture_edges():
 def test_arc_counts():
     g = BipartiteRatings([(1, 10), (2, 10)])
     gs = apply_jump(g, JumpSpec.skip())
-    gr = build_recommender_graph(g, gs)
+    gr = RecommenderGraph(g, gs)
     assert gr.person_arc_count == 2
     assert gr.movie_arc_count == 2
 
@@ -193,7 +193,7 @@ def test_arc_counts_random():
     for seed in range(25):
         g = random_ratings(seed)
         gs = apply_jump(g, JumpSpec.hammock(2))
-        gr = build_recommender_graph(g, gs)
+        gr = RecommenderGraph(g, gs)
         assert gr.person_arc_count == 2 * gs.edge_count
         assert gr.movie_arc_count == g.edge_count
 
@@ -201,30 +201,18 @@ def test_arc_counts_random():
 def test_movies_are_sinks_and_person_arcs_paired():
     for seed in range(15):
         g = random_ratings(seed)
-        gr = build_recommender_graph(g, apply_jump(g, JumpSpec.skip()))
-        person_arcs = set()
-        for src_kind, src, dst_kind, dst in gr.arcs():
-            assert src_kind == "person"  # nothing ever leaves a movie
-            if dst_kind == "person":
-                person_arcs.add((src, dst))
-        for src, dst in person_arcs:
-            assert (dst, src) in person_arcs
+        gr = RecommenderGraph(g, apply_jump(g, JumpSpec.skip()))
+        out = gr.out_csr()
+        n_people = gr.n_people
+        assert out.shape == (n_people + gr.n_movies,) * 2
+        assert out[n_people:].nnz == 0  # nothing ever leaves a movie
+        person_block = out[:n_people, :n_people]
+        assert person_block.nnz == gr.person_arc_count
+        assert (person_block != person_block.T).nnz == 0
 
 
 def test_mismatched_social_graph_rejected():
     g = BipartiteRatings([(1, 10), (2, 10)])
     other = SocialGraph([1, 2, 3], [(1, 2)])
     with pytest.raises(GraphMismatchError):
-        build_recommender_graph(g, other)
-
-
-def test_csv_exports():
-    g = BipartiteRatings([(1, 10), (2, 10)])
-    gs = apply_jump(g, JumpSpec.skip())
-    gr = build_recommender_graph(g, gs)
-    assert social_edges_csv(gs) == "p1,p2\n1,2\n"
-    text = recommender_arcs_csv(gr)
-    lines = text.strip().split("\n")
-    assert lines[0] == "src,dst,kind"
-    assert "1,2,person" in lines and "2,1,person" in lines
-    assert "1,10,movie" in lines and "2,10,movie" in lines
+        RecommenderGraph(g, other)

@@ -5,10 +5,10 @@ from recgraph import (
     BipartiteRatings,
     DegreeDistribution,
     JumpSpec,
+    RecommenderGraph,
     SocialGraph,
     UndefinedMetricError,
     apply_jump,
-    build_recommender_graph,
     clustering_coefficient,
     connected_components,
     degree_cdf,
@@ -19,16 +19,12 @@ from recgraph import (
     measure_l_pp,
     measure_l_r_l_pm,
 )
-from recgraph.metrics import (
-    component_report_csv,
-    csv_float,
-    degree_cdf_csv,
-    path_stats_csv,
-)
+from recgraph.metrics import csv_float, degree_cdf_csv
 
 from oracles import (
     floyd_warshall,
     giant_people_oracle,
+    joint_degree_loop,
     mean_over_pairs,
     random_ratings,
     random_social,
@@ -40,7 +36,7 @@ def chain_graph():
     """p1 - m1 - p2 - m2 - p3 under the weakest jump."""
     g = BipartiteRatings([(1, 101), (2, 101), (2, 102), (3, 102)])
     gs = apply_jump(g, JumpSpec.skip())
-    return g, gs, build_recommender_graph(g, gs)
+    return g, gs, RecommenderGraph(g, gs)
 
 
 # -- components ----------------------------------------------------------------
@@ -84,7 +80,7 @@ def test_movie_assignment_follows_bigger_people_component():
         [(1, 10), (1, 11), (2, 10), (2, 11), (3, 10), (3, 11),
          (4, 20), (4, 21), (5, 20), (5, 21),
          (1, 50), (4, 50)])
-    gr = build_recommender_graph(g, apply_jump(g, JumpSpec.hammock(2)))
+    gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(2)))
     report = connected_components(gr)
     assert set(report.giant_people) == {1, 2, 3}
     assert 50 in report.giant_movies
@@ -96,7 +92,7 @@ def test_movie_assignment_tie_breaks_to_smaller_person_id():
         [(1, 10), (1, 11), (2, 10), (2, 11),
          (3, 20), (3, 21), (4, 20), (4, 21),
          (2, 99), (3, 99)])
-    gr = build_recommender_graph(g, apply_jump(g, JumpSpec.hammock(2)))
+    gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(2)))
     report = connected_components(gr)
     comps = {(p, m) for p, m in report.component_sizes}
     assert comps == {(2, 3), (2, 2)}
@@ -106,7 +102,7 @@ def test_movie_assignment_tie_breaks_to_smaller_person_id():
 
 def test_unrated_movie_is_own_component():
     g = BipartiteRatings([(1, 10)], people=[1], movies=[10, 11])
-    gr = build_recommender_graph(g, apply_jump(g, JumpSpec.skip()))
+    gr = RecommenderGraph(g, apply_jump(g, JumpSpec.skip()))
     report = connected_components(gr)
     assert (0, 1) in report.component_sizes
     assert 11 not in report.giant_movies
@@ -115,14 +111,14 @@ def test_unrated_movie_is_own_component():
 def test_two_person_toy_splits_at_width_two():
     g = BipartiteRatings([(1, 10), (2, 10)])
     for w, expected in ((1, 1), (2, 2)):
-        gr = build_recommender_graph(g, apply_jump(g, JumpSpec.hammock(w)))
+        gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(w)))
         assert len(connected_components(gr).component_sizes) == expected
 
 
 def test_components_conserve_people_and_movies():
     for seed in range(60):
         g = random_ratings(seed)
-        gr = build_recommender_graph(g, apply_jump(g, JumpSpec.hammock(2)))
+        gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(2)))
         report = connected_components(gr)
         assert sum(p for p, _ in report.component_sizes) == g.n_people
         assert sum(m for _, m in report.component_sizes) == g.n_movies
@@ -181,7 +177,7 @@ def test_joint_distribution_chain():
 
 def test_joint_distribution_two_people_one_movie():
     g = BipartiteRatings([(1, 10), (2, 10)])
-    gr = build_recommender_graph(g, apply_jump(g, JumpSpec.skip()))
+    gr = RecommenderGraph(g, apply_jump(g, JumpSpec.skip()))
     joint = joint_degree_distribution(gr)
     assert joint.probabilities == {(1, 2): 2 / 3, (2, 0): 1 / 3}
 
@@ -189,7 +185,7 @@ def test_joint_distribution_two_people_one_movie():
 def test_joint_distribution_balance_and_sinks():
     for seed in range(40):
         g = random_ratings(seed)
-        gr = build_recommender_graph(g, apply_jump(g, JumpSpec.hammock(2)))
+        gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(2)))
         joint = joint_degree_distribution(gr)
         pull = sum(j * p for (j, _), p in joint.probabilities.items())
         push = sum(k * p for (_, k), p in joint.probabilities.items())
@@ -198,6 +194,22 @@ def test_joint_distribution_balance_and_sinks():
         pull = sum(j * p for (j, _), p in joint_giant.probabilities.items())
         push = sum(k * p for (_, k), p in joint_giant.probabilities.items())
         assert abs(pull - push) < 1e-12
+
+
+def test_joint_distribution_matches_loop_oracle_in_order():
+    # key order matters: moments_directed sums in dict order
+    for seed in range(80):
+        g = random_ratings(seed)
+        for w in (1, 2, 3):
+            gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(w)))
+            report = connected_components(gr)
+            for largest_only, people, movies in (
+                    (False, g.people.tolist(), g.movies.tolist()),
+                    (True, report.giant_people, report.giant_movies)):
+                got = joint_degree_distribution(gr, largest_only=largest_only)
+                expected = joint_degree_loop(gr, people, movies)
+                assert list(got.probabilities.items()) == list(expected.items()), \
+                    f"seed {seed} w {w} largest_only {largest_only}"
 
 
 # -- path lengths vs Floyd-Warshall -----------------------------------------------
@@ -227,7 +239,7 @@ def test_l_r_l_pm_match_floyd_warshall_oracle():
     # directed oracle over the combined person+movie index space
     for seed in range(120):
         g = random_ratings(seed, max_people=14, max_movies=12)
-        gr = build_recommender_graph(g, apply_jump(g, JumpSpec.hammock(2)))
+        gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(2)))
         people = [int(p) for p in g.people]
         movies = [int(m) for m in g.movies]
         pix = {p: i for i, p in enumerate(people)}
@@ -261,7 +273,7 @@ def test_l_r_l_pm_match_floyd_warshall_oracle():
 def test_mixture_identity_exact():
     for seed in range(60):
         g = random_ratings(seed)
-        gr = build_recommender_graph(g, apply_jump(g, JumpSpec.skip()))
+        gr = RecommenderGraph(g, apply_jump(g, JumpSpec.skip()))
         try:
             stats = measure_l_r_l_pm(gr)
         except UndefinedMetricError:
@@ -314,7 +326,7 @@ def test_sampled_sources_deterministic():
 
 def test_sampled_sources_in_recommender_graph():
     g = random_ratings(5, max_people=12)
-    gr = build_recommender_graph(g, apply_jump(g, JumpSpec.skip()))
+    gr = RecommenderGraph(g, apply_jump(g, JumpSpec.skip()))
     full = measure_l_r_l_pm(gr)
     if full.sources > 2:
         part = measure_l_r_l_pm(gr, max_sources=2, seed=1)
@@ -409,17 +421,6 @@ def test_csv_float():
 
 
 def test_csv_renderers():
-    gs = SocialGraph([1, 2, 3], [(1, 2)])
-    report = connected_components(gs)
-    text = component_report_csv(report)
-    assert text.splitlines()[0] == "component_index,people,movies"
-    assert text.splitlines()[1] == "1,2,0"
-
-    stats = measure_l_pp(SocialGraph([1, 2], [(1, 2)]))
-    out = path_stats_csv(stats)
-    assert out.splitlines()[0] == "l_pp,l_r,l_pm,c_pp,c_pm,sampled_sources"
-    assert out.splitlines()[1] == "1,,,2,0,all"
-
     cdf_text = degree_cdf_csv([(1, 10), (2, 5)])
     assert cdf_text == "degree,count\n1,10\n2,5\n"
     log_text = degree_cdf_csv([(1, 2.0)], log_scale=True)

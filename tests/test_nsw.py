@@ -10,9 +10,9 @@ from recgraph import (
     InvalidDistributionError,
     JointDegreeDistribution,
     JumpSpec,
+    RecommenderGraph,
     UndirectedModelInput,
     apply_jump,
-    build_recommender_graph,
     degree_distribution,
     joint_degree_distribution,
     moments_directed,
@@ -138,7 +138,7 @@ def test_directed_fixture_value():
 def test_directed_fixture_from_constructed_graph():
     # the same joint distribution arises from an actual dataset
     g = four_person_fixture()
-    gr = build_recommender_graph(g, apply_jump(g, JumpSpec.hammock(25)))
+    gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(25)))
     joint = joint_degree_distribution(gr)
     assert joint.probabilities == four_person_joint().probabilities
     value = predict_l_r(DirectedModelInput(joint, g.n_people, g.n_movies))
