@@ -76,7 +76,6 @@ class SocialGraph:
         else:
             self._eu = np.empty(0, dtype=np.int64)
             self._ev = np.empty(0, dtype=np.int64)
-        self._adj = None
         self._csr = None
         self._components = None  # ComponentReport, filled by metrics
 
@@ -88,7 +87,6 @@ class SocialGraph:
         g._index = {int(v): i for i, v in enumerate(g.vertices)}
         g._eu = np.asarray(eu, dtype=np.int64)
         g._ev = np.asarray(ev, dtype=np.int64)
-        g._adj = None
         g._csr = None
         g._components = None
         return g
@@ -113,31 +111,27 @@ class SocialGraph:
         both = np.concatenate([self._eu, self._ev])
         return np.bincount(both, minlength=self.n)
 
-    def degree_of(self, vertex) -> int:
+    def _position(self, vertex) -> int:
         try:
-            i = self._index[int(vertex)]
+            return self._index[int(vertex)]
         except KeyError:
             raise UnknownNodeError(f"unknown vertex id: {vertex}") from None
+
+    def degree_of(self, vertex) -> int:
+        i = self._position(vertex)
         return int(np.count_nonzero(self._eu == i) + np.count_nonzero(self._ev == i))
 
-    def _adjacency(self):
-        if self._adj is None:
-            adj = {int(v): set() for v in self.vertices}
-            for iu, iv in zip(self._eu, self._ev):
-                u, v = int(self.vertices[iu]), int(self.vertices[iv])
-                adj[u].add(v)
-                adj[v].add(u)
-            self._adj = adj
-        return self._adj
+    def _row(self, i) -> np.ndarray:
+        """Neighbour indices of the vertex at index i."""
+        csr = self.adjacency_csr()
+        return csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
 
     def neighbors(self, vertex) -> frozenset:
-        try:
-            return frozenset(self._adjacency()[int(vertex)])
-        except KeyError:
-            raise UnknownNodeError(f"unknown vertex id: {vertex}") from None
+        return frozenset(self.vertices[self._row(self._position(vertex))].tolist())
 
     def has_edge(self, a, b) -> bool:
-        return int(b) in self._adjacency().get(int(a), ())
+        ia, ib = self._index.get(int(a)), self._index.get(int(b))
+        return ia is not None and ib is not None and bool(np.any(self._row(ia) == ib))
 
     def edge_ids(self):
         """Iterate (u, v) id pairs with u < v, in ascending order."""
@@ -155,21 +149,17 @@ class SocialGraph:
 
     def subgraph(self, vertex_ids) -> "SocialGraph":
         """Induced subgraph on the given vertex ids."""
-        keep_ids = sorted({int(v) for v in vertex_ids})
-        for v in keep_ids:
-            if v not in self._index:
-                raise UnknownNodeError(f"unknown vertex id: {v}")
-        keep_idx = {self._index[v] for v in keep_ids}
-        mask = np.fromiter(
-            ((int(u) in keep_idx) and (int(v) in keep_idx) for u, v in zip(self._eu, self._ev)),
-            dtype=bool, count=self.edge_count)
-        new_ids = np.array(keep_ids, dtype=np.int64)
-        remap = {self._index[v]: i for i, v in enumerate(keep_ids)}
-        eu = np.fromiter((remap[int(u)] for u in self._eu[mask]), dtype=np.int64,
-                         count=int(mask.sum()))
-        ev = np.fromiter((remap[int(v)] for v in self._ev[mask]), dtype=np.int64,
-                         count=int(mask.sum()))
-        return SocialGraph._from_arrays(new_ids, eu, ev)
+        keep_ids = np.array(sorted({int(v) for v in vertex_ids}), dtype=np.int64)
+        unknown = keep_ids[~np.isin(keep_ids, self.vertices)]
+        if len(unknown):
+            raise UnknownNodeError(f"unknown vertex id: {unknown[0]}")
+        pos = np.searchsorted(self.vertices, keep_ids)
+        # kept indices map to 0.. in order, so remapped edges stay u < v and lexsorted
+        remap = np.full(self.n, -1, dtype=np.int64)
+        remap[pos] = np.arange(len(pos))
+        eu, ev = remap[self._eu], remap[self._ev]
+        kept = (eu >= 0) & (ev >= 0)
+        return SocialGraph._from_arrays(keep_ids, eu[kept], ev[kept])
 
 
 # -- jump application -------------------------------------------------------

@@ -3,13 +3,18 @@
 Components, degree distributions, average shortest-path lengths, clustering,
 and the small utilities (complementary degree CDFs, L-infinity discrepancy)
 the experiment drivers report.  Path lengths are exact breadth-first values:
-every graph here is unweighted, so per-source BFS from each giant-component
-person replaces anything heavier.  Above 5,000 giant people the source set is
-uniformly sampled (seeded) instead, and the result says so.
+every graph here is unweighted, so one level-synchronous pass runs all
+giant-component sources at once, 64 to a machine word, and sums the hop
+counts as Python ints.  Sources go in blocks sized so the gathered
+frontier bits stay within BFS_BLOCK_BYTES (or one word per arc, when that is
+more), which bounds memory however many sources run.  Above 5,000 giant
+people the source set is uniformly sampled (seeded) instead, and the result
+says so.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -21,6 +26,12 @@ from .jumps import RecommenderGraph, SocialGraph
 
 EXACT_SOURCE_LIMIT = 5000
 DEFAULT_SAMPLED_SOURCES = 1000
+# Byte budget for one BFS block: its words times 8 times the arcs (the
+# gathered frontier bits) or the vertices, whichever is more; a block holds
+# at least one word.  Small blocks keep each level's gather near cache size:
+# on dense graphs one word per block ran fastest, while sparse lattices
+# (~50 levels) want all their sources in one block to pay each level once.
+BFS_BLOCK_BYTES = 4 << 20
 
 
 # -- types -------------------------------------------------------------------
@@ -254,10 +265,53 @@ def _pick_sources(candidates, max_sources, seed):
     return sorted(rng.sample(ordered, count)), True
 
 
+def _bfs_distance_sums(in_csr, src_idx, n_people):
+    """Exact hop-count sums from every source: (sum_pp, pairs_pp, sum_pm, pairs_pm).
+
+    Row v of ``in_csr`` lists the in-neighbours of vertex v; targets below
+    ``n_people`` are people, the rest movies.  Sources run together, 64 to
+    a uint64 word and 64 * k to a block: per level every vertex ORs the
+    frontier words of its in-neighbours, and the bits it had not yet seen
+    are the (source, target) pairs at that distance.  Sources are visited at
+    distance 0, so self-pairs never count.  Unreachable pairs never count.
+    """
+    n = in_csr.shape[0]
+    indptr = in_csr.indptr
+    indices = in_csr.indices.astype(np.intp)  # take() gathers fastest with native indices
+    # reduceat yields an element, not zero, for an empty segment, so
+    # vertices without in-arcs are left out of the pull
+    rows = np.flatnonzero(np.diff(indptr))
+    starts = indptr[rows]
+    words = max(1, BFS_BLOCK_BYTES // (8 * max(len(indices), n)))
+    sum_pp = pairs_pp = sum_pm = pairs_pm = 0
+    for lo in range(0, len(src_idx), 64 * words):
+        block = src_idx[lo:lo + 64 * words]
+        col = np.arange(len(block))
+        frontier = np.zeros((n, -(-len(block) // 64)), dtype=np.uint64)
+        frontier[block, col // 64] = np.left_shift(np.uint64(1), (col % 64).astype(np.uint64))
+        visited = frontier.copy()
+        for d in itertools.count(1):
+            # rows left out keep old frontier bits, all visited, so the mask clears them
+            frontier[rows] = np.bitwise_or.reduceat(np.take(frontier, indices, axis=0), starts)
+            frontier &= ~visited
+            counts = np.bitwise_count(frontier)
+            pp = int(counts[:n_people].sum(dtype=np.int64))
+            pm = int(counts[n_people:].sum(dtype=np.int64))
+            if pp + pm == 0:
+                break
+            sum_pp += d * pp
+            pairs_pp += pp
+            sum_pm += d * pm
+            pairs_pm += pm
+            visited |= frontier
+    return sum_pp, pairs_pp, sum_pm, pairs_pm
+
+
 def measure_l_pp(gs: SocialGraph, max_sources=None, seed=0) -> PathLengthStats:
     """Mean shortest-path length between ordered person pairs in the giant.
 
-    BFS runs from every giant-component person (or a seeded sample, see
+    One bit-parallel BFS pass (see :func:`_bfs_distance_sums`) runs from
+    every giant-component person, or a seeded sample (see
     :func:`_pick_sources`); self-pairs are excluded.
     """
     report = connected_components(gs)
@@ -265,11 +319,7 @@ def measure_l_pp(gs: SocialGraph, max_sources=None, seed=0) -> PathLengthStats:
         raise UndefinedMetricError("l_pp needs a giant component with at least 2 people")
     sources, sampled = _pick_sources(report.giant_people, max_sources, seed)
     src_idx = np.searchsorted(gs.vertices, sources)
-    dist = csgraph.dijkstra(gs.adjacency_csr(), directed=False, indices=src_idx,
-                            unweighted=True)
-    finite = np.isfinite(dist) & (dist > 0)
-    total = float(dist[finite].sum())
-    pairs = int(finite.sum())
+    total, pairs, _, _ = _bfs_distance_sums(gs.adjacency_csr(), src_idx, gs.n)
     return PathLengthStats(
         l_pp=total / pairs if pairs else None,
         l_pm=None,
@@ -284,27 +334,20 @@ def measure_l_pp(gs: SocialGraph, max_sources=None, seed=0) -> PathLengthStats:
 def measure_l_r_l_pm(gr: RecommenderGraph, max_sources=None, seed=0) -> PathLengthStats:
     """Directed means from giant-component people to people and to movies.
 
-    BFS follows arc directions.  l_pp averages over reachable person
-    targets, l_pm over reachable movie targets, and l_r over their union,
-    so l_r * (pairs_pp + pairs_pm) == l_pp * pairs_pp + l_pm * pairs_pm.
+    One bit-parallel BFS pass follows arc directions over the in-arcs of
+    G_r; movies are sinks, so they are reached but never spread the search.
+    l_pp averages over reachable person targets, l_pm over reachable movie
+    targets, and l_r over their union, so
+    l_r * (pairs_pp + pairs_pm) == l_pp * pairs_pp + l_pm * pairs_pm.
     Unreachable pairs are simply absent from the counts.
     """
     report = connected_components(gr)
     if not report.giant_people:
         raise UndefinedMetricError("l_r needs at least one person source in the giant")
     sources, sampled = _pick_sources(report.giant_people, max_sources, seed)
-    n_people = gr.n_people
     src_idx = np.searchsorted(gr.ratings.people, sources)
-    dist = csgraph.dijkstra(gr.out_csr(), directed=True, indices=src_idx,
-                            unweighted=True)
-    pp = dist[:, :n_people]
-    pm = dist[:, n_people:]
-    pp_finite = np.isfinite(pp) & (pp > 0)
-    pm_finite = np.isfinite(pm) & (pm > 0)
-    sum_pp = float(pp[pp_finite].sum())
-    sum_pm = float(pm[pm_finite].sum())
-    pairs_pp = int(pp_finite.sum())
-    pairs_pm = int(pm_finite.sum())
+    sum_pp, pairs_pp, sum_pm, pairs_pm = _bfs_distance_sums(
+        gr.out_csr().T.tocsr(), src_idx, gr.n_people)
     both = pairs_pp + pairs_pm
     return PathLengthStats(
         l_pp=sum_pp / pairs_pp if pairs_pp else None,

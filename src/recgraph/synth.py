@@ -237,7 +237,9 @@ def rewire_with_diagnostics(g: SocialGraph, p: float, mode: str = UNIFORM, seed=
     rng = random.Random(f"rewire:{seed}")
     ids = [int(v) for v in g.vertices]
     pos = {v: i for i, v in enumerate(ids)}
-    adj = {v: set(map(int, g.neighbors(v))) for v in ids}
+    csr = g.adjacency_csr()
+    nbr_ids = g.vertices[csr.indices].tolist()
+    adj = {v: set(nbr_ids[csr.indptr[i]:csr.indptr[i + 1]]) for i, v in enumerate(ids)}
     degrees = np.array([len(adj[v]) for v in ids], dtype=np.int64)
     skipped = 0
     for u, v in g.edge_ids():

@@ -163,3 +163,23 @@ def random_social(seed, max_n=40) -> SocialGraph:
     edges = [(u, v) for i, u in enumerate(vertices)
              for v in vertices[i + 1:] if rng.random() < p]
     return SocialGraph(vertices, edges)
+
+
+def ratings_with_giant(seed, giant: int) -> BipartiteRatings:
+    """Ratings whose skip-jump social giant holds exactly ``giant`` people.
+
+    People 1..giant are joined by a path of shared movies plus random
+    shortcuts; some also rate a movie of their own.  Outside the giant sit a
+    three-person group sharing one movie, three isolated people each rating
+    a movie nobody else rates, and two unrated movies.
+    """
+    rng = random.Random(f"giant:{seed}:{giant}")
+    people = list(range(1, giant + 1))
+    groups = [[a, b] for a, b in zip(people, people[1:])]
+    groups += [rng.sample(people, rng.randint(2, 4)) for _ in range(giant // 3)]
+    groups += [[p] for p in people if rng.random() < 0.3]
+    groups.append([giant + 1, giant + 2, giant + 3])
+    groups += [[p] for p in range(giant + 4, giant + 7)]
+    movies = list(range(1000, 1000 + len(groups) + 2))
+    pairs = [(p, m) for m, group in zip(movies, groups) for p in group]
+    return BipartiteRatings(pairs, people=range(1, giant + 7), movies=movies)

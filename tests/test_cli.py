@@ -107,7 +107,7 @@ def test_sweep_l_pp_follows_social_giant_when_giants_differ():
 
 
 def test_sweep_analyses_each_width_once(monkeypatch):
-    calls = {"components": 0, "dijkstra": 0}
+    calls = {"components": 0, "distances": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -117,15 +117,15 @@ def test_sweep_analyses_each_width_once(monkeypatch):
 
     monkeypatch.setattr(metrics.csgraph, "connected_components",
                         counted("components", metrics.csgraph.connected_components))
-    monkeypatch.setattr(metrics.csgraph, "dijkstra",
-                        counted("dijkstra", metrics.csgraph.dijkstra))
+    monkeypatch.setattr(metrics, "_bfs_distance_sums",
+                        counted("distances", metrics._bfs_distance_sums))
     g = generate_power_law_bipartite(SynthConfig(n_people=30, n_movies=12, epsilon=0.5, seed=4))
     for w in (1, 2, 3):
-        calls.update(components=0, dijkstra=0)
+        calls.update(components=0, distances=0)
         (row,) = sweep_rows(g, w, w)
         assert row.components == 1
         assert calls["components"] <= 2
-        assert calls["dijkstra"] == 1
+        assert calls["distances"] == 1
 
 
 # -- config handling ---------------------------------------------------------------

@@ -19,7 +19,8 @@ from recgraph import (
     measure_l_pp,
     measure_l_r_l_pm,
 )
-from recgraph.metrics import csv_float, degree_cdf_csv
+from recgraph import metrics
+from recgraph.metrics import _pick_sources, csv_float, degree_cdf_csv
 
 from oracles import (
     floyd_warshall,
@@ -28,6 +29,7 @@ from oracles import (
     mean_over_pairs,
     random_ratings,
     random_social,
+    ratings_with_giant,
     social_partition,
 )
 
@@ -235,6 +237,22 @@ def test_l_pp_matches_floyd_warshall_oracle():
         assert not stats.sampled
 
 
+def recommender_distances(gr):
+    """Directed Floyd-Warshall over people then movies, with the person index."""
+    g = gr.ratings
+    people = [int(p) for p in g.people]
+    movies = [int(m) for m in g.movies]
+    pix = {p: i for i, p in enumerate(people)}
+    mix = {m: len(people) + j for j, m in enumerate(movies)}
+    arcs = []
+    for u, v in gr.social.edge_ids():
+        arcs.append((pix[u], pix[v]))
+        arcs.append((pix[v], pix[u]))
+    for p, m in g.edge_ids():
+        arcs.append((pix[p], mix[m]))
+    return pix, floyd_warshall(len(people) + len(movies), arcs, directed=True)
+
+
 def test_l_r_l_pm_match_floyd_warshall_oracle():
     # directed oracle over the combined person+movie index space
     for seed in range(120):
@@ -242,15 +260,7 @@ def test_l_r_l_pm_match_floyd_warshall_oracle():
         gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(2)))
         people = [int(p) for p in g.people]
         movies = [int(m) for m in g.movies]
-        pix = {p: i for i, p in enumerate(people)}
-        mix = {m: len(people) + j for j, m in enumerate(movies)}
-        arcs = []
-        for u, v in gr.social.edge_ids():
-            arcs.append((pix[u], pix[v]))
-            arcs.append((pix[v], pix[u]))
-        for p, m in g.edge_ids():
-            arcs.append((pix[p], mix[m]))
-        dist = floyd_warshall(len(people) + len(movies), arcs, directed=True)
+        pix, dist = recommender_distances(gr)
 
         report = connected_components(gr)
         if not report.giant_people:
@@ -268,6 +278,46 @@ def test_l_r_l_pm_match_floyd_warshall_oracle():
             assert abs(stats.l_pp - exp_pp) < 1e-9
         if n_pm:
             assert abs(stats.l_pm - exp_pm) < 1e-9
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1])
+@pytest.mark.parametrize("giant", [63, 64, 65, 130])
+def test_path_means_match_floyd_warshall_past_one_word(giant, block_bytes, monkeypatch):
+    # 63..65 sources straddle one 64-bit word and 130 span three; a 1-byte
+    # budget leaves one word per block, so 65 or more sources run in blocks.
+    # Isolated people, a group outside the giant, movies only outsiders rate
+    # and unrated movies are never reached; max_sources takes the sampled path.
+    if block_bytes is not None:
+        monkeypatch.setattr(metrics, "BFS_BLOCK_BYTES", block_bytes)
+    for seed in range(2):
+        g = ratings_with_giant(seed, giant)
+        gs = apply_jump(g, JumpSpec.skip())
+        gr = RecommenderGraph(g, gs)
+        ids = [int(v) for v in gs.vertices]
+        index = {v: i for i, v in enumerate(ids)}
+        social = floyd_warshall(len(ids), [(index[u], index[v]) for u, v in gs.edge_ids()],
+                                directed=False)
+        pix, directed = recommender_distances(gr)
+        n_p, n_all = g.n_people, g.n_people + g.n_movies
+        assert len(connected_components(gs).giant_people) == giant
+        for max_sources in (None, 40, 100):
+            sources, sampled = _pick_sources(connected_components(gs).giant_people,
+                                             max_sources, seed)
+            exp_pp, n_pp = mean_over_pairs(social, [index[v] for v in sources], range(n_p))
+            stats = measure_l_pp(gs, max_sources=max_sources, seed=seed)
+            assert (stats.l_pp, stats.pairs_pp) == (exp_pp, n_pp)
+            assert (stats.sources, stats.sampled) == (len(sources), sampled)
+
+            sources, sampled = _pick_sources(connected_components(gr).giant_people,
+                                             max_sources, seed)
+            rows = [pix[p] for p in sources]
+            exp_pp, n_pp = mean_over_pairs(directed, rows, range(n_p))
+            exp_pm, n_pm = mean_over_pairs(directed, rows, range(n_p, n_all))
+            exp_r, _ = mean_over_pairs(directed, rows, range(n_all))
+            stats = measure_l_r_l_pm(gr, max_sources=max_sources, seed=seed)
+            assert (stats.pairs_pp, stats.pairs_pm) == (n_pp, n_pm)
+            assert (stats.l_pp, stats.l_pm, stats.l_r) == (exp_pp, exp_pm, exp_r)
+            assert (stats.sources, stats.sampled) == (len(sources), sampled)
 
 
 def test_mixture_identity_exact():
