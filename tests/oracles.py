@@ -1,17 +1,108 @@
 """Independent reference implementations the property suites compare against.
 
-Everything here is deliberately written the slow, obvious way (set
-intersections, dense Floyd-Warshall, pointer-chasing union-find) and shares
-no code with the package under test.
+Everything here is deliberately written the slow, obvious way (row-by-row
+parsing, set-based dedupe, set intersections, dense Floyd-Warshall,
+pointer-chasing union-find) and shares no code with the package under test;
+only its exception types are imported, so that errors compare by type.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
-from recgraph import BipartiteRatings, SocialGraph
+from recgraph import BipartiteRatings, EmptyDatasetError, ParseError, SocialGraph, UnknownNodeError
+
+
+# -- row-wise loading -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OracleRatings:
+    """What a rating graph holds: sorted ids, sorted edges, collapsed rows."""
+
+    people: list
+    movies: list
+    edges: list
+    duplicate_count: int
+
+
+def ratings_oracle(pairs, people=None, movies=None) -> OracleRatings:
+    """Set-based graph construction, the first occurrence of a pair kept."""
+    kept = []
+    seen = set()
+    dups = 0
+    for person, movie in pairs:
+        key = (int(person), int(movie))
+        if key in seen:
+            dups += 1
+            continue
+        seen.add(key)
+        kept.append(key)
+    pset = {p for p, _ in kept}
+    mset = {m for _, m in kept}
+    if people is not None:
+        people = {int(p) for p in people}
+        stray = pset - people
+        if stray:
+            raise UnknownNodeError(f"edge endpoints outside the person set: {sorted(stray)[:5]}")
+        pset = people
+    if movies is not None:
+        movies = {int(m) for m in movies}
+        stray = mset - movies
+        if stray:
+            raise UnknownNodeError(f"edge endpoints outside the movie set: {sorted(stray)[:5]}")
+        mset = movies
+    if any(p < 0 for p in pset) or any(m < 0 for m in mset):
+        raise ValueError("person and movie ids must be non-negative")
+    people = np.array(sorted(pset), dtype=np.int64).tolist()
+    movies = np.array(sorted(mset), dtype=np.int64).tolist()
+    return OracleRatings(people, movies, sorted(kept), dups)
+
+
+def _oracle_parse_int(field, path, lineno, what):
+    try:
+        value = int(field)
+    except ValueError:
+        raise ParseError(path, lineno, f"{what} is not an integer: {field!r}") from None
+    if value < 0:
+        raise ParseError(path, lineno, f"{what} must be non-negative: {value}")
+    return value
+
+
+def _oracle_iter_movielens_tab(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise ParseError(path, lineno, f"expected 4 tab-separated fields, got {len(fields)}")
+            person = _oracle_parse_int(fields[0], path, lineno, "person id")
+            movie = _oracle_parse_int(fields[1], path, lineno, "movie id")
+            try:
+                float(fields[2])
+            except ValueError:
+                raise ParseError(path, lineno, f"rating is not numeric: {fields[2]!r}") from None
+            _oracle_parse_int(fields[3], path, lineno, "timestamp")
+            yield person, movie
+
+
+def load_movielens_tab_oracle(path) -> OracleRatings:
+    """Parse a tab-separated rating file one row at a time."""
+    loaded = ratings_oracle(_oracle_iter_movielens_tab(path))
+    if not loaded.edges:
+        raise EmptyDatasetError(f"{path}: no ratings found")
+    return loaded
+
+
+def ratings_of(g: BipartiteRatings) -> OracleRatings:
+    """The same view of a package-built graph."""
+    return OracleRatings(g.people.tolist(), g.movies.tolist(), list(g.edge_ids()),
+                         g.duplicate_count)
 
 
 # -- brute-force hammock -------------------------------------------------------

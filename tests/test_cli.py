@@ -1,5 +1,10 @@
+import numpy as np
+
+import recgraph.cli
 from recgraph import BipartiteRatings, SynthConfig, generate_power_law_bipartite, metrics
-from recgraph.cli import DEFAULTS, load_config_file, main, resolve_config, sweep_rows
+from recgraph.cli import DEFAULTS, load_config_file, main, resolve_config, sweep_csv, sweep_rows
+
+from oracles import load_movielens_tab_oracle
 
 
 def write_tab(path, rows):
@@ -126,6 +131,58 @@ def test_sweep_analyses_each_width_once(monkeypatch):
         assert row.components == 1
         assert calls["components"] <= 2
         assert calls["distances"] == 1
+
+
+# -- offline stand-in, end to end -------------------------------------------------
+
+
+def write_standin_tab(path, seed=0, n_people=300, n_movies=400):
+    """A shuffled MovieLens-shaped rating file with a few file-format quirks.
+
+    Person degrees are at least 20 with a lognormal tail, and movie
+    popularity is Zipf-like.  One row repeats an earlier (person, movie)
+    with another rating, one line ends in CRLF and one line is blank.  The
+    numbers it yields are stand-in values, not the paper's MovieLens values.
+    """
+    rng = np.random.default_rng(seed)
+    popularity = 1.0 / (np.arange(n_movies) + 10.0)
+    popularity /= popularity.sum()
+    rows = []
+    for person in range(1, n_people + 1):
+        degree = min(n_movies, 20 + int(rng.lognormal(2.5, 0.8)))
+        movies = rng.choice(n_movies, size=degree, replace=False, p=popularity) + 1
+        rows += [(person, int(movie)) for movie in movies]
+    lines = [f"{p}\t{m}\t{rng.integers(1, 6)}\t{rng.integers(874724710, 893286638)}\n"
+             for p, m in (rows[i] for i in rng.permutation(len(rows)))]
+    person, movie = lines[0].split("\t")[:2]
+    lines.insert(40, f"{person}\t{movie}\t1\t893286638\n")
+    lines[7] = lines[7].replace("\n", "\r\n")
+    lines.insert(11, "\n")
+    path.write_bytes("".join(lines).encode("utf-8"))
+
+
+def test_standin_sweep_and_stats_match_oracle_loaded_graph(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "standin.tsv"
+    write_standin_tab(path)
+    loaded = load_movielens_tab_oracle(path)
+    assert loaded.duplicate_count == 1
+    oracle_graph = BipartiteRatings(loaded.edges, people=loaded.people, movies=loaded.movies)
+    # built from deduplicated edges, so it takes the oracle's count of collapsed rows
+    oracle_graph.duplicate_count = loaded.duplicate_count
+
+    assert main(["sweep", "--input", str(path), "--w-min", "1", "--w-max", "12",
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert main(["stats", "--input", str(path)]) == 0
+    stats_out = capsys.readouterr().out
+
+    swept = (tmp_path / "out" / "sweep.csv").read_text(encoding="utf-8")
+    assert swept == sweep_csv(sweep_rows(oracle_graph, 1, 12))
+    monkeypatch.setattr(recgraph.cli, "load_ratings", lambda *args: oracle_graph)
+    assert main(["stats", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == stats_out
+    assert "duplicate rows: 1\n" in stats_out
+    assert f"people: {len(loaded.people)}\n" in stats_out
 
 
 # -- config handling ---------------------------------------------------------------

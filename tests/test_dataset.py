@@ -9,6 +9,7 @@ from recgraph import (
     EmptyDatasetError,
     FitError,
     ParseError,
+    RecgraphError,
     UndefinedMetricError,
     UnknownNodeError,
     bfs_reach_count,
@@ -18,9 +19,10 @@ from recgraph import (
     reorder_hits_buffs,
     sparsity,
 )
+from recgraph import dataset
 from recgraph.dataset import GENERIC_CSV, MOVIELENS_TAB
 
-from oracles import random_ratings
+from oracles import load_movielens_tab_oracle, random_ratings, ratings_of, ratings_oracle
 
 
 # -- construction ---------------------------------------------------------------
@@ -133,6 +135,142 @@ def test_duplicate_rows_counted_on_load(tmp_path):
     g = load_ratings(path, MOVIELENS_TAB)
     assert g.edge_count == 1
     assert g.duplicate_count == 1
+
+
+def test_movielens_tab_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "u.data"
+    path.write_bytes("\ufeff1\t10\t5\t0\n2\t10\t3\t1\n".encode("utf-8"))
+    g = load_ratings(path, MOVIELENS_TAB)
+    assert g.people.tolist() == [1, 2]
+    assert list(g.edge_ids()) == [(1, 10), (2, 10)]
+
+
+def test_generic_csv_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes("\ufeffperson,movie,rating\n1,10,4\n2,10,3\n".encode("utf-8"))
+    g = load_ratings(path, GENERIC_CSV)
+    assert g.people.tolist() == [1, 2]
+    assert list(g.edge_ids()) == [(1, 10), (2, 10)]
+
+
+# Tab files the columnar parse must read exactly as the row-wise oracle does:
+# the same graph, or the same exception type, line number and message.
+TAB_CASES = {
+    "plain": "1\t10\t5\t874965758\n2\t10\t3\t876893171\n1\t11\t4\t878542960\n",
+    "no_final_newline": "1\t10\t5\t0\n2\t11\t4\t1",
+    "blank_and_whitespace_lines": "\n1\t10\t5\t0\n\n   \n\t\t\t\n \t \n\x0b\x0c\xa0\n2\t10\t3\t1\n\n",
+    "crlf": "1\t10\t5\t0\r\n2\t11\t4\t1\r\n\r\n3\t11\t2\t2\r\n",
+    "lone_cr": "1\t10\t5\t0\r2\t11\t4\t1\r\r3\t12\t1\t2",
+    "mixed_endings": "1\t10\t5\t0\r\n2\t11\t4\t1\r3\t12\t1\t2\n",
+    "int_syntax": "+7\t1_000\t4\t+0\n\uff11\uff12\t\uff13\t5\t99 \n 8\t9 \t 4.5 \t 7  \n-0\t0\t1\t-0\n",
+    "float_ratings": "1\t10\tnan\t0\n2\t10\t-inf\t0\n3\t10\t1e999\t0\n4\t10\t1_5.5\t0\n",
+    "duplicates": "1\t10\t5\t0\n1\t10\t4\t1\n2\t10\t3\t1\n1\t10\t5\t0\n2\t10\t1\t9\n",
+    "negative_person": "1\t10\t5\t0\n-1\t10\t5\t0\n",
+    "negative_movie": "1\t10\t5\t0\n\n2\t-10\t5\t0\n",
+    "negative_timestamp": "1\t10\t5\t0\n2\t10\t5\t-3\n",
+    "non_integer_person": "abc\t5\t3\t0\n",
+    "float_person": "1\t10\t5\t0\n1.5\t10\t5\t0\n",
+    "empty_movie": "1\t\t5\t0\n",
+    "non_numeric_rating": "1\t10\t5\t0\r\n2\t10\tfive\t0\r\n",
+    "three_fields": "1\t10\t5\n",
+    "five_fields": "1\t10\t5\t0\n2\t10\t5\t0\t9\n",
+    "five_then_three": "1\t10\t5\t0\t9\n2\t11\t4\n",
+    "three_then_five": "1\t10\t5\n2\t11\t4\t0\t9\n",
+    "bad_line_after_lone_cr": "1\t10\t5\t0\r\rx\t1\t1\t1\r",
+    "id_past_int64": "1\t10\t5\t0\n99999999999999999999\t10\t5\t0\n",
+    "id_past_int64_then_bad_line": "99999999999999999999\t10\t5\t0\n1\t10\t5\n",
+    "timestamp_past_int64": "1\t10\t5\t99999999999999999999\n",
+    "invalid_utf8": b"1\t10\t5\t0\nx\t1\t1\t1\n\xff\t2\t3\t0\n",
+    "empty": "",
+    "blank_only": "\n \n\t\t\t\n",
+}
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type, line number and text of its error."""
+    try:
+        return build()
+    except (RecgraphError, ValueError, OverflowError) as exc:
+        return type(exc), getattr(exc, "line_number", None), str(exc)
+
+
+def _assert_tab_parse_matches_oracle(path):
+    got = _outcome(lambda: ratings_of(load_ratings(path, MOVIELENS_TAB)))
+    assert got == _outcome(lambda: load_movielens_tab_oracle(path))
+
+
+@pytest.mark.parametrize("block_chars", [dataset.LOAD_BLOCK_CHARS, 16])
+@pytest.mark.parametrize("name", sorted(TAB_CASES))
+def test_tab_parse_matches_row_oracle(tmp_path, monkeypatch, name, block_chars):
+    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
+    text = TAB_CASES[name]
+    path = tmp_path / "u.data"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    _assert_tab_parse_matches_oracle(path)
+
+
+def _seeded_tab_file(seed) -> str:
+    """Random valid rows mixed with blank lines, odd syntax and line endings.
+
+    One seed in three plants one malformed line somewhere in the file.
+    """
+    rng = random.Random(f"tab:{seed}")
+    bad = ["-1\t10\t5\t0", "1\t-2\t5\t0", "1\t2\t5\t-1", "1\t2\tx\t0", "1\t2\t5",
+           "1\t2\t5\t0\t0", "1\t2\t5\t0\t0\n3\t4\t5", "p\t2\t5\t0", "1\t2\t\t0"]
+    lines = []
+    for _ in range(rng.randint(0, 300)):
+        kind = rng.random()
+        if kind < 0.08:
+            lines.append(rng.choice(["", "  ", "\t\t\t", " \t ", "\x0c"]))
+            continue
+        p, m = rng.randint(0, 40), rng.randint(0, 60)
+        fields = [str(p), str(m), rng.choice(["5", "3.5", "nan", "1_0"]), str(rng.randint(0, 10**9))]
+        if kind < 0.15:
+            fields = [f"+{p}", f" {m} ", fields[2], f"{fields[3]}  "]
+        lines.append("\t".join(fields))
+    if lines and seed % 3 == 0:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(bad))
+    endings = ["\n"] * 8 + ["\r\n", "\r"]
+    return "".join(line + rng.choice(endings) for line in lines)
+
+
+@pytest.mark.parametrize("block_chars", [dataset.LOAD_BLOCK_CHARS, 200])
+def test_seeded_tab_files_match_row_oracle(tmp_path, monkeypatch, block_chars):
+    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
+    path = tmp_path / "u.data"
+    for seed in range(60):
+        path.write_bytes(_seeded_tab_file(seed).encode("utf-8"))
+        _assert_tab_parse_matches_oracle(path)
+
+
+def test_array_and_pair_construction_match_oracle():
+    for seed in range(40):
+        rng = random.Random(f"construct:{seed}")
+        g = random_ratings(seed)
+        pairs = list(g.edge_ids())
+        pairs += rng.sample(pairs, rng.randint(0, len(pairs)))
+        rng.shuffle(pairs)
+        people, movies = g.people.tolist(), g.movies.tolist()
+        variants = [
+            {},
+            {"people": people + [10_000, 7_777], "movies": movies + [5_000]},
+            {"people": people[1:], "movies": movies},
+            {"people": people, "movies": movies[:-1]},
+            {"people": [-1] + people},
+        ]
+        for edges in (pairs, []):
+            array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            for ids in variants:
+                expected = _outcome(lambda: ratings_oracle(edges, **ids))
+                assert _outcome(lambda: ratings_of(BipartiteRatings(iter(edges), **ids))) == expected
+                assert _outcome(lambda: ratings_of(BipartiteRatings(array, **ids))) == expected
+        built = BipartiteRatings(np.array(pairs))
+        expected = ratings_oracle(pairs)
+        for p in expected.people:
+            assert built.movies_of(p) == frozenset(m for q, m in expected.edges if q == p)
+        for m in expected.movies:
+            assert built.people_of(m) == frozenset(p for p, n in expected.edges if n == m)
+        assert built.edge_person_idx.dtype == built.edge_movie_idx.dtype == np.int64
 
 
 def test_export_round_trip(tmp_path):
