@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .dataset import (
@@ -58,27 +58,6 @@ from .synth import (
 
 FORMAT_ALIASES = {"movielens": MOVIELENS_TAB, "csv": GENERIC_CSV}
 
-DEFAULTS = {
-    "format": "movielens",
-    "w_min": 1,
-    "w_max": 30,
-    "kappa_min": 1,
-    "kappa_max": 15,
-    "trials": 1,
-    "seed": 0,
-    "max_sources": None,
-    "out": ".",
-    "log_scale": False,
-    "largest_only": False,
-    "n": 1000,
-    "k": 10,
-    "p_values": (0.0, 0.0001, 0.001, 0.01, 0.1, 1.0),
-    "mode": "uniform",
-    "n_people": 500,
-    "n_movies": 75,
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved settings for one invocation: flags win over the config file,
@@ -99,10 +78,14 @@ class RunConfig:
     largest_only: bool = False
     n: int = 1000
     k: int = 10
-    p_values: tuple = DEFAULTS["p_values"]
+    p_values: tuple = (0.0, 0.0001, 0.001, 0.01, 0.1, 1.0)
     mode: str = "uniform"
     n_people: int = 500
     n_movies: int = 75
+
+
+# Built-in defaults of every setting a flag or the config file can change.
+DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name not in ("command", "input")}
 
 
 @dataclass(frozen=True)
@@ -127,20 +110,25 @@ class SweepRow:
 
 
 def _parse_config_value(key, raw):
-    if key in ("w_min", "w_max", "kappa_min", "kappa_max", "trials", "seed",
-               "max_sources", "n", "k", "n_people", "n_movies"):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key} needs an integer, got {raw!r}") from None
-    if key in ("log_scale", "largest_only"):
+    """Parse a config-file value by the type of the key's default.
+
+    ``max_sources``, whose default is None, takes an integer; ``input``,
+    which has no default, stays a string.
+    """
+    default = DEFAULTS.get(key, "")
+    if isinstance(default, bool):
         low = raw.strip().lower()
         if low in ("true", "yes", "1"):
             return True
         if low in ("false", "no", "0"):
             return False
         raise ConfigError(f"config key {key} needs a boolean, got {raw!r}")
-    if key == "p_values":
+    if default is None or isinstance(default, int):
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(f"config key {key} needs an integer, got {raw!r}") from None
+    if isinstance(default, tuple):
         return _parse_p_values(raw)
     return raw
 
@@ -179,18 +167,10 @@ def _parse_p_values(raw) -> tuple:
 def resolve_config(args) -> RunConfig:
     """Merge CLI flags (all None when unset), config file, and defaults."""
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    merged = {}
-    fields = set(DEFAULTS) | {"input"}
-    for key in fields:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in file_values:
-            merged[key] = file_values[key]
-        else:
-            merged[key] = DEFAULTS.get(key)
-    if isinstance(merged.get("p_values"), str):
-        merged["p_values"] = _parse_p_values(merged["p_values"])
+    merged = dict(file_values)
+    for key in set(DEFAULTS) | {"input"}:
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
     cfg = RunConfig(command=args.command, **merged)
     _validate(cfg)
     return cfg
@@ -388,7 +368,7 @@ def cmd_synth_study(cfg: RunConfig) -> int:
                 n_people=cfg.n_people, n_movies=cfg.n_movies, epsilon=eps,
                 seed=f"{cfg.seed}:{kappa}:{trial}",
             )
-            g = generate_power_law_bipartite(synth_cfg)
+            g, _ = generate_power_law_bipartite(synth_cfg)
             rows = sweep_rows(g, cfg.w_min, cfg.w_max, cfg.max_sources, cfg.seed)
             for row in rows:
                 for name in metric_names:

@@ -173,13 +173,20 @@ def _vertex_ids(endpoints, given, side) -> np.ndarray:
 LOAD_BLOCK_CHARS = 8 << 20
 
 
-def _parse_int(field, path, lineno, what):
+# Largest person or movie id; ids are stored as int64.
+_ID_MAX = 2**63 - 1
+
+
+def _parse_int(field, path, lineno, what, limit=_ID_MAX):
+    """Non-negative integer field, at most ``limit`` unless that is None."""
     try:
         value = int(field)
     except ValueError:
         raise ParseError(path, lineno, f"{what} is not an integer: {field!r}") from None
     if value < 0:
         raise ParseError(path, lineno, f"{what} must be non-negative: {value}")
+    if limit is not None and value > limit:
+        raise ParseError(path, lineno, f"{what} exceeds {limit}: {value}")
     return value
 
 
@@ -214,8 +221,10 @@ def _raise_first_bad_line(path):
     """Scan a tab file row by row and raise ParseError at its first bad line.
 
     Runs only after the columnar parse rejected a block, to name the line.
+    An undecodable byte stays in its line (as a lone surrogate) and fails
+    the field parse there.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -229,7 +238,7 @@ def _raise_first_bad_line(path):
                 float(fields[2])
             except ValueError:
                 raise ParseError(path, lineno, f"rating is not numeric: {fields[2]!r}") from None
-            _parse_int(fields[3], path, lineno, "timestamp")
+            _parse_int(fields[3], path, lineno, "timestamp", limit=None)
 
 
 def _read_movielens_tab(path) -> np.ndarray:
@@ -248,7 +257,7 @@ def _read_movielens_tab(path) -> np.ndarray:
 
 
 def _iter_generic_csv(path):
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -279,10 +288,11 @@ def load_ratings(path, fmt=MOVIELENS_TAB) -> BipartiteRatings:
 
     The tab format is parsed in columns, one block of lines at a time; when
     a block holds a malformed row, a row-by-row scan from line 1 finds the
-    first one.  Malformed rows raise ParseError with the 1-based line
-    number.  Duplicate (person, movie) rows collapse to one edge and are
-    counted on the returned graph.  A file with no rating rows raises
-    EmptyDatasetError.  A leading UTF-8 byte-order mark is skipped.
+    first one.  Malformed rows, undecodable bytes and person or movie ids
+    past int64 raise ParseError with the 1-based line number.  Duplicate
+    (person, movie) rows collapse to one edge and are counted on the
+    returned graph.  A file with no rating rows raises EmptyDatasetError.
+    A leading UTF-8 byte-order mark is skipped.
     """
     if fmt == MOVIELENS_TAB:
         pairs = _read_movielens_tab(path)

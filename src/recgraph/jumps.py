@@ -59,14 +59,14 @@ class SocialGraph:
 
     def __init__(self, vertices, edges=()):
         self.vertices = np.array(sorted({int(v) for v in vertices}), dtype=np.int64)
-        self._index = {int(v): i for i, v in enumerate(self.vertices)}
+        index = {v: i for i, v in enumerate(self.vertices.tolist())}
         pairs = set()
         for a, b in edges:
             a, b = int(a), int(b)
             if a == b:
                 raise ValueError(f"self-loop on vertex {a}")
             try:
-                ia, ib = self._index[a], self._index[b]
+                ia, ib = index[a], index[b]
             except KeyError as missing:
                 raise UnknownNodeError(f"edge endpoint not a vertex: {missing.args[0]}") from None
             pairs.add((ia, ib) if ia < ib else (ib, ia))
@@ -84,7 +84,6 @@ class SocialGraph:
         """Trusted path: vertex_ids sorted unique, eu < ev, lexsorted, deduped."""
         g = cls.__new__(cls)
         g.vertices = np.asarray(vertex_ids, dtype=np.int64)
-        g._index = {int(v): i for i, v in enumerate(g.vertices)}
         g._eu = np.asarray(eu, dtype=np.int64)
         g._ev = np.asarray(ev, dtype=np.int64)
         g._csr = None
@@ -112,14 +111,12 @@ class SocialGraph:
         return np.bincount(both, minlength=self.n)
 
     def _position(self, vertex) -> int:
-        try:
-            return self._index[int(vertex)]
-        except KeyError:
-            raise UnknownNodeError(f"unknown vertex id: {vertex}") from None
-
-    def degree_of(self, vertex) -> int:
-        i = self._position(vertex)
-        return int(np.count_nonzero(self._eu == i) + np.count_nonzero(self._ev == i))
+        """Index of a vertex id in the sorted ``self.vertices``."""
+        v = int(vertex)
+        i = int(np.searchsorted(self.vertices, v))
+        if i == self.n or self.vertices[i] != v:
+            raise UnknownNodeError(f"unknown vertex id: {vertex}")
+        return i
 
     def _row(self, i) -> np.ndarray:
         """Neighbour indices of the vertex at index i."""
@@ -128,10 +125,6 @@ class SocialGraph:
 
     def neighbors(self, vertex) -> frozenset:
         return frozenset(self.vertices[self._row(self._position(vertex))].tolist())
-
-    def has_edge(self, a, b) -> bool:
-        ia, ib = self._index.get(int(a)), self._index.get(int(b))
-        return ia is not None and ib is not None and bool(np.any(self._row(ia) == ib))
 
     def edge_ids(self):
         """Iterate (u, v) id pairs with u < v, in ascending order."""
@@ -163,11 +156,6 @@ class SocialGraph:
 
 
 # -- jump application -------------------------------------------------------
-
-
-def common_artifacts_count(g: BipartiteRatings, p1, p2) -> int:
-    """How many movies two people both rated."""
-    return len(g.movies_of(p1) & g.movies_of(p2))
 
 
 def co_rating_pairs(g: BipartiteRatings):

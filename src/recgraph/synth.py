@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -76,8 +77,8 @@ def initial_degree(b: int, epsilon: float, n_movies: int) -> int:
     return min(n_movies, math.ceil(n_movies * float(b) ** -epsilon))
 
 
-def generate_with_diagnostics(cfg: SynthConfig):
-    """Build the synthetic dataset; returns (graph, diagnostics).
+def generate_power_law_bipartite(cfg: SynthConfig):
+    """Build the synthetic dataset; returns (graph, GenerationDiagnostics).
 
     Draw order: edges iterate ascending (person, initial movie rank); each
     edge consumes one rewire-decision draw, and a triggered rewire consumes
@@ -112,11 +113,6 @@ def generate_with_diagnostics(cfg: SynthConfig):
         movies=range(1, cfg.n_movies + 1),
     )
     return graph, diag
-
-
-def generate_power_law_bipartite(cfg: SynthConfig) -> BipartiteRatings:
-    """Build the synthetic dataset (see :func:`generate_with_diagnostics`)."""
-    return generate_with_diagnostics(cfg)[0]
 
 
 def _repair_connectivity(rated, n_people, n_movies) -> int:
@@ -220,7 +216,7 @@ def generate_wreath(n: int, k: int) -> SocialGraph:
     return SocialGraph(range(n), edges)
 
 
-def rewire_with_diagnostics(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
+def rewire(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
     """Rewire one endpoint of each selected edge; returns (graph, skipped).
 
     Edges are visited in ascending (u, v) order and independently selected
@@ -228,28 +224,30 @@ def rewire_with_diagnostics(g: SocialGraph, p: float, mode: str = UNIFORM, seed=
     smaller-id endpoint u and re-attaches the other end: uniformly over
     non-self, non-adjacent targets, or with probability proportional to
     current degree in preferential mode.  Edges with no valid target are
-    left in place and counted.
+    left in place and counted in ``skipped``.
+
+    The walk runs on vertex indices.  Vertex ids are sorted, so index order
+    is id order and every draw picks the vertex an id-keyed walk would.
     """
     if not 0 <= p <= 1:
         raise ValueError("rewire probability must lie in [0, 1]")
     if mode not in REWIRE_MODES:
         raise ValueError(f"mode must be one of {REWIRE_MODES}")
     rng = random.Random(f"rewire:{seed}")
-    ids = [int(v) for v in g.vertices]
-    pos = {v: i for i, v in enumerate(ids)}
+    n = g.n
     csr = g.adjacency_csr()
-    nbr_ids = g.vertices[csr.indices].tolist()
-    adj = {v: set(nbr_ids[csr.indptr[i]:csr.indptr[i + 1]]) for i, v in enumerate(ids)}
-    degrees = np.array([len(adj[v]) for v in ids], dtype=np.int64)
+    indptr = csr.indptr.tolist()
+    nbrs = csr.indices.tolist()
+    adj = [set(nbrs[indptr[i]:indptr[i + 1]]) for i in range(n)]
+    degrees = np.diff(csr.indptr).astype(np.int64)
     skipped = 0
-    for u, v in g.edge_ids():
+    for u, v in zip(g._eu.tolist(), g._ev.tolist()):
         if rng.random() >= p:
             continue
-        target = None
         if mode == UNIFORM:
-            target = _uniform_target(rng, ids, u, adj[u])
+            target = _uniform_target(rng, n, u, adj[u])
         else:
-            target = _preferential_target(rng, ids, pos, degrees, u, adj[u])
+            target = _preferential_target(rng, degrees, u, adj[u])
         if target is None:
             skipped += 1
             continue
@@ -257,56 +255,45 @@ def rewire_with_diagnostics(g: SocialGraph, p: float, mode: str = UNIFORM, seed=
         adj[v].discard(u)
         adj[u].add(target)
         adj[target].add(u)
-        degrees[pos[v]] -= 1
-        degrees[pos[target]] += 1
-    edges = []
-    for a in ids:
-        for b in adj[a]:
-            if a < b:
-                edges.append((a, b))
-    rewired = SocialGraph(ids, edges)
-    return rewired, skipped
+        degrees[v] -= 1
+        degrees[target] += 1
+    rows = [sorted(b for b in row if b > a) for a, row in enumerate(adj)]
+    eu = np.repeat(np.arange(n, dtype=np.int64), [len(row) for row in rows])
+    ev = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(eu))
+    return SocialGraph._from_arrays(g.vertices, eu, ev), skipped
 
 
-def rewire(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0) -> SocialGraph:
-    """Rewire one endpoint of each selected edge (see rewire_with_diagnostics)."""
-    return rewire_with_diagnostics(g, p, mode, seed)[0]
-
-
-def _uniform_target(rng, ids, u, taken):
-    """Uniform over vertices that are neither u nor already adjacent to u.
+def _uniform_target(rng, n, u, taken):
+    """Uniform over vertex indices that are neither u nor adjacent to u.
 
     Rejection sampling, falling back to an explicit sorted pool when the
     graph is dense enough to starve it; both paths draw from the same
     stream, so results stay deterministic.
     """
-    n = len(ids)
     if len(taken) + 1 >= n:
         return None
     for _ in range(_REJECTION_CAP):
-        t = ids[rng.randrange(n)]
+        t = rng.randrange(n)
         if t != u and t not in taken:
             return t
-    pool = [t for t in ids if t != u and t not in taken]
+    pool = [t for t in range(n) if t != u and t not in taken]
     if not pool:
         return None  # pragma: no cover
     return pool[rng.randrange(len(pool))]
 
 
-def _preferential_target(rng, ids, pos, degrees, u, taken):
-    """Degree-proportional choice among valid targets (one uniform draw)."""
-    weights = degrees.astype(float).copy()
-    weights[pos[u]] = 0.0
-    for t in taken:
-        weights[pos[t]] = 0.0
+def _preferential_target(rng, degrees, u, taken):
+    """Degree-proportional choice among valid target indices (one uniform draw)."""
+    weights = degrees.astype(float)
+    weights[u] = 0.0
+    weights[list(taken)] = 0.0
     total = float(weights.sum())
     if total <= 0:
         return None
     cut = rng.random() * total
     cumulative = np.cumsum(weights)
     index = int(np.searchsorted(cumulative, cut, side="right"))
-    index = min(index, len(ids) - 1)
-    return ids[index]
+    return min(index, len(degrees) - 1)
 
 
 # -- small-world curves --------------------------------------------------------------
@@ -350,7 +337,7 @@ def small_world_curve(cfg: WreathConfig, p_values, trials: int = 1):
         l_total = 0.0
         c_total = 0.0
         for t in range(trials):
-            graph = rewire(lattice, p, cfg.mode, seed=f"{cfg.seed}:{t}:{i}")
+            graph, _ = rewire(lattice, p, cfg.mode, seed=f"{cfg.seed}:{t}:{i}")
             l_total += measure_l_pp(graph).l_pp
             c_total += _giant_clustering(graph)
         points.append(CurvePoint(

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (row-by-row
 parsing, set-based dedupe, set intersections, dense Floyd-Warshall,
-pointer-chasing union-find) and shares no code with the package under test;
-only its exception types are imported, so that errors compare by type.
+pointer-chasing union-find, id-keyed rewiring) and shares no code with the
+package under test; only its exception types are imported, so that errors
+compare by type, and graphs are built through the validating constructors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from recgraph import BipartiteRatings, EmptyDatasetError, ParseError, SocialGraph, UnknownNodeError
+from recgraph import (
+    PREFERENTIAL,
+    UNIFORM,
+    BipartiteRatings,
+    EmptyDatasetError,
+    ParseError,
+    SocialGraph,
+    UnknownNodeError,
+)
 
 
 # -- row-wise loading -----------------------------------------------------------
@@ -62,6 +71,9 @@ def ratings_oracle(pairs, people=None, movies=None) -> OracleRatings:
     return OracleRatings(people, movies, sorted(kept), dups)
 
 
+_ORACLE_ID_MAX = 2**63 - 1
+
+
 def _oracle_parse_int(field, path, lineno, what):
     try:
         value = int(field)
@@ -69,11 +81,14 @@ def _oracle_parse_int(field, path, lineno, what):
         raise ParseError(path, lineno, f"{what} is not an integer: {field!r}") from None
     if value < 0:
         raise ParseError(path, lineno, f"{what} must be non-negative: {value}")
+    if what != "timestamp" and value > _ORACLE_ID_MAX:
+        raise ParseError(path, lineno, f"{what} exceeds {_ORACLE_ID_MAX}: {value}")
     return value
 
 
 def _oracle_iter_movielens_tab(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    # an undecodable byte becomes a lone surrogate that fails its field parse
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip():
@@ -224,6 +239,80 @@ def giant_people_oracle(gs: SocialGraph) -> set:
     """Largest person group, ties broken toward the smaller minimum id."""
     groups = social_partition(gs)
     return set(min(groups, key=lambda grp: (-len(grp), min(grp))))
+
+
+# -- id-space rewiring ----------------------------------------------------------
+
+_ORACLE_REJECTION_CAP = 64
+
+
+def rewire_oracle(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
+    """The id-keyed rewiring walk: (graph, skipped), built through SocialGraph."""
+    if not 0 <= p <= 1:
+        raise ValueError("rewire probability must lie in [0, 1]")
+    if mode not in (UNIFORM, PREFERENTIAL):
+        raise ValueError(f"mode must be one of {(UNIFORM, PREFERENTIAL)}")
+    rng = random.Random(f"rewire:{seed}")
+    ids = [int(v) for v in g.vertices]
+    pos = {v: i for i, v in enumerate(ids)}
+    csr = g.adjacency_csr()
+    nbr_ids = g.vertices[csr.indices].tolist()
+    adj = {v: set(nbr_ids[csr.indptr[i]:csr.indptr[i + 1]]) for i, v in enumerate(ids)}
+    degrees = np.array([len(adj[v]) for v in ids], dtype=np.int64)
+    skipped = 0
+    for u, v in g.edge_ids():
+        if rng.random() >= p:
+            continue
+        target = None
+        if mode == UNIFORM:
+            target = _oracle_uniform_target(rng, ids, u, adj[u])
+        else:
+            target = _oracle_preferential_target(rng, ids, pos, degrees, u, adj[u])
+        if target is None:
+            skipped += 1
+            continue
+        adj[u].discard(v)
+        adj[v].discard(u)
+        adj[u].add(target)
+        adj[target].add(u)
+        degrees[pos[v]] -= 1
+        degrees[pos[target]] += 1
+    edges = []
+    for a in ids:
+        for b in adj[a]:
+            if a < b:
+                edges.append((a, b))
+    rewired = SocialGraph(ids, edges)
+    return rewired, skipped
+
+
+def _oracle_uniform_target(rng, ids, u, taken):
+    n = len(ids)
+    if len(taken) + 1 >= n:
+        return None
+    for _ in range(_ORACLE_REJECTION_CAP):
+        t = ids[rng.randrange(n)]
+        if t != u and t not in taken:
+            return t
+    pool = [t for t in ids if t != u and t not in taken]
+    if not pool:
+        return None
+    return pool[rng.randrange(len(pool))]
+
+
+def _oracle_preferential_target(rng, ids, pos, degrees, u, taken):
+    weights = degrees.astype(float).copy()
+    weights[pos[u]] = 0.0
+    for t in taken:
+        weights[pos[t]] = 0.0
+    total = float(weights.sum())
+    if total <= 0:
+        return None
+    cut = rng.random() * total
+    cumulative = np.cumsum(weights)
+    index = int(np.searchsorted(cumulative, cut, side="right"))
+    index = min(index, len(ids) - 1)
+    return ids[index]
 
 
 # -- random instances ------------------------------------------------------------

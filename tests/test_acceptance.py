@@ -148,7 +148,7 @@ def test_ac06_synthetic_sparsity_calibration():
     ok = True
     targets = [(0.70, 1, 95.5, 1.0), (0.27, 15, 76.63, 2.0)]
     for eps, kappa, target, tol in targets:
-        g = generate_power_law_bipartite(SynthConfig(epsilon=eps, seed=0))
+        g, _ = generate_power_law_bipartite(SynthConfig(epsilon=eps, seed=0))
         observed = 100 * sparsity(g)
         min_degree = int(g.person_degrees().min())
         clause = (min_degree == kappa and abs(observed - target) <= tol)

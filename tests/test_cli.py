@@ -1,8 +1,17 @@
 import numpy as np
+import pytest
 
 import recgraph.cli
 from recgraph import BipartiteRatings, SynthConfig, generate_power_law_bipartite, metrics
-from recgraph.cli import DEFAULTS, load_config_file, main, resolve_config, sweep_csv, sweep_rows
+from recgraph.cli import (
+    DEFAULTS,
+    RunConfig,
+    load_config_file,
+    main,
+    resolve_config,
+    sweep_csv,
+    sweep_rows,
+)
 
 from oracles import load_movielens_tab_oracle
 
@@ -14,7 +23,7 @@ def write_tab(path, rows):
 def synth_file(tmp_path, **kwargs):
     cfg = SynthConfig(**{"n_people": 30, "n_movies": 12, "epsilon": 0.5,
                          "seed": 4, **kwargs})
-    g = generate_power_law_bipartite(cfg)
+    g, _ = generate_power_law_bipartite(cfg)
     path = tmp_path / "ratings.tsv"
     g.export_movielens_tab(path)
     return g, path
@@ -124,7 +133,7 @@ def test_sweep_analyses_each_width_once(monkeypatch):
                         counted("components", metrics.csgraph.connected_components))
     monkeypatch.setattr(metrics, "_bfs_distance_sums",
                         counted("distances", metrics._bfs_distance_sums))
-    g = generate_power_law_bipartite(SynthConfig(n_people=30, n_movies=12, epsilon=0.5, seed=4))
+    g, _ = generate_power_law_bipartite(SynthConfig(n_people=30, n_movies=12, epsilon=0.5, seed=4))
     for w in (1, 2, 3):
         calls.update(components=0, distances=0)
         (row,) = sweep_rows(g, w, w)
@@ -222,6 +231,19 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_config_file_sets_boolean_none_and_typed_keys(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("largest_only = yes\nmax_sources = 40\nn_people = 60\n"
+                        "p_values = 0, 0.5\nmode = both\n", encoding="utf-8")
+    cfg = resolve_config(main_args(["ws", "--config", str(cfg_file)]))
+    assert cfg == RunConfig(command="ws", largest_only=True, max_sources=40, n_people=60,
+                            p_values=(0.0, 0.5), mode="both")
+    for bad, kind in (("largest_only = maybe", "a boolean"), ("max_sources = all", "an integer")):
+        cfg_file.write_text(bad + "\n", encoding="utf-8")
+        assert main(["ws", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+        assert f"needs {kind}" in capsys.readouterr().err
+
+
 def main_args(argv):
     from recgraph.cli import build_parser
     return build_parser().parse_args(argv)
@@ -249,6 +271,28 @@ def test_malformed_input_exits_1(tmp_path, capsys):
     rc = main(["stats", "--input", str(path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# An undecodable byte, or an id past int64, on a line after a good one.
+BAD_ROWS = {
+    ("movielens", "invalid_utf8"): (b"1\t10\t5\t0\n\xff\t2\t3\t0\n", 2),
+    ("movielens", "id_past_int64"): (b"1\t10\t5\t0\n123456789012345678901\t2\t3\t0\n", 2),
+    ("csv", "invalid_utf8"): (b"person,movie\n1,10\n2,\xff\n", 3),
+    ("csv", "id_past_int64"): (b"person,movie\n1,10\n2,123456789012345678901\n", 3),
+}
+
+
+@pytest.mark.parametrize("fmt, case", sorted(BAD_ROWS))
+def test_undecodable_or_oversized_id_exits_1_at_its_line(tmp_path, capsys, fmt, case):
+    data, line = BAD_ROWS[fmt, case]
+    path = tmp_path / "ratings"
+    path.write_bytes(data)
+    for command in ("stats", "sweep", "cdf"):
+        rc = main([command, "--input", str(path), "--format", fmt, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {path}:{line}: ")
+        assert "Traceback" not in err
 
 
 def test_inverted_width_range_exits_2(tmp_path, capsys):

@@ -9,7 +9,6 @@ from recgraph import (
     UnknownNodeError,
     apply_jump,
     co_rating_pairs,
-    common_artifacts_count,
 )
 from recgraph.jumps import HAMMOCK, SKIP
 
@@ -73,10 +72,12 @@ def test_social_graph_basics():
     gs = SocialGraph([1, 2, 3], [(1, 2), (2, 1), (2, 3)])
     assert gs.n == 3
     assert gs.edge_count == 2  # (1,2) deduplicated across orientations
+    assert gs.neighbors(1) == frozenset({2})
     assert gs.neighbors(2) == frozenset({1, 3})
-    assert gs.has_edge(1, 2) and gs.has_edge(2, 1)
-    assert not gs.has_edge(1, 3)
-    assert gs.degree_of(2) == 2
+    assert gs.neighbors(3) == frozenset({2})
+    for missing in (0, 4):
+        with pytest.raises(UnknownNodeError):
+            gs.neighbors(missing)
 
 
 def test_social_graph_rejects_bad_edges():
@@ -100,27 +101,10 @@ def test_threshold_semantics():
     g = BipartiteRatings([(1, 10), (1, 11), (1, 12), (2, 10), (2, 11), (2, 12)])
     for w in (1, 2, 3):
         gs = apply_jump(g, JumpSpec.hammock(w))
-        assert gs.has_edge(1, 2)
+        assert gs.neighbors(1) == frozenset({2})
     gs4 = apply_jump(g, JumpSpec.hammock(4))
-    assert not gs4.has_edge(1, 2)
+    assert gs4.neighbors(1) == frozenset()
     assert gs4.n == 2  # isolated people stay
-
-
-def test_common_artifacts_count():
-    g = BipartiteRatings([(1, 10), (1, 11), (1, 12), (2, 11), (2, 12), (2, 13)])
-    assert common_artifacts_count(g, 1, 2) == 2
-    with pytest.raises(UnknownNodeError):
-        common_artifacts_count(g, 1, 99)
-
-
-def test_common_artifacts_matches_bruteforce():
-    for seed in range(30):
-        g = random_ratings(seed, max_people=10, max_movies=10)
-        people = [int(p) for p in g.people]
-        for i, u in enumerate(people):
-            for v in people[i + 1:]:
-                expected = len(g.movies_of(u) & g.movies_of(v))
-                assert common_artifacts_count(g, u, v) == expected
 
 
 def test_hammock_equals_bruteforce_oracle():
@@ -161,21 +145,22 @@ def test_two_step_reachability_is_composed_jumps():
         g = random_ratings(seed)
         gs = apply_jump(g, JumpSpec.skip())
         people = [int(p) for p in g.people]
+        nbrs = {p: gs.neighbors(p) for p in people}
         for i, u in enumerate(people):
             for v in people[i + 1:]:
-                via = any(gs.has_edge(u, x) and gs.has_edge(x, v)
+                via = any(x in nbrs[u] and v in nbrs[x]
                           for x in people if x not in (u, v))
-                two_apart = not gs.has_edge(u, v) and via
+                two_apart = v not in nbrs[u] and via
                 if two_apart:
-                    assert gs.neighbors(u) & gs.neighbors(v)
+                    assert nbrs[u] & nbrs[v]
 
 
 def test_four_person_fixture_edges():
     g = four_person_fixture()
     gs = apply_jump(g, JumpSpec.hammock(25))
     assert set(gs.edge_ids()) == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)}
-    assert gs.degree_of(1) == 3
-    assert gs.degree_of(4) == 2
+    assert len(gs.neighbors(1)) == 3
+    assert len(gs.neighbors(4)) == 2
 
 
 # -- recommender graph ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from recgraph import (
@@ -18,11 +19,11 @@ from recgraph.synth import (
     PREFERENTIAL,
     UNIFORM,
     _repair_connectivity,
-    generate_with_diagnostics,
     initial_degree,
-    rewire_with_diagnostics,
     small_world_curve,
 )
+
+from oracles import random_social, rewire_oracle
 
 
 # -- generator --------------------------------------------------------------------
@@ -48,24 +49,24 @@ def test_initial_degree_formula():
 
 def test_deterministic_for_seed():
     cfg = SynthConfig(n_people=80, n_movies=30, epsilon=0.5, seed=11)
-    a = generate_power_law_bipartite(cfg)
-    b = generate_power_law_bipartite(cfg)
+    a, _ = generate_power_law_bipartite(cfg)
+    b, _ = generate_power_law_bipartite(cfg)
     assert list(a.edge_ids()) == list(b.edge_ids())
-    c = generate_power_law_bipartite(SynthConfig(
+    c, _ = generate_power_law_bipartite(SynthConfig(
         n_people=80, n_movies=30, epsilon=0.5, seed=12))
     assert list(a.edge_ids()) != list(c.edge_ids())
 
 
 def test_string_seeds_are_accepted():
-    g = generate_power_law_bipartite(SynthConfig(n_people=20, n_movies=10,
-                                                 epsilon=0.4, seed="trial:3"))
+    g, _ = generate_power_law_bipartite(SynthConfig(n_people=20, n_movies=10,
+                                                    epsilon=0.4, seed="trial:3"))
     assert g.edge_count > 0
 
 
 def test_degrees_survive_rewiring():
     # rewiring moves movie endpoints only, so person degrees stay put
     cfg = SynthConfig(n_people=120, n_movies=40, epsilon=0.6, seed=5)
-    g = generate_power_law_bipartite(cfg)
+    g, _ = generate_power_law_bipartite(cfg)
     for b, degree in zip(g.people.tolist(), g.person_degrees().tolist()):
         assert degree == initial_degree(b, 0.6, 40)
 
@@ -74,9 +75,9 @@ def test_edge_count_is_seed_independent():
     expected = sum(initial_degree(b, 0.7, 75) for b in range(1, 501))
     assert expected == 1694
     for seed in (0, 1, "x"):
-        g = generate_power_law_bipartite(SynthConfig(seed=seed))
+        g, _ = generate_power_law_bipartite(SynthConfig(seed=seed))
         assert g.edge_count == 1694
-    g27 = generate_power_law_bipartite(SynthConfig(epsilon=0.27, seed=9))
+    g27, _ = generate_power_law_bipartite(SynthConfig(epsilon=0.27, seed=9))
     assert g27.edge_count == sum(initial_degree(b, 0.27, 75) for b in range(1, 501))
     assert g27.edge_count == 9796
 
@@ -84,7 +85,7 @@ def test_edge_count_is_seed_independent():
 def test_top_person_rates_everything_and_graph_connects():
     from recgraph import is_connected_bipartite
     for seed in range(6):
-        g = generate_power_law_bipartite(SynthConfig(
+        g, _ = generate_power_law_bipartite(SynthConfig(
             n_people=60, n_movies=25, epsilon=0.5, seed=seed))
         assert g.movies_of(1) == frozenset(range(1, 26))
         assert is_connected_bipartite(g)
@@ -92,7 +93,7 @@ def test_top_person_rates_everything_and_graph_connects():
 
 def test_epsilon_zero_without_rewiring_is_complete():
     cfg = SynthConfig(n_people=12, n_movies=8, epsilon=0.0, rewire_threshold=0)
-    g = generate_power_law_bipartite(cfg)
+    g, _ = generate_power_law_bipartite(cfg)
     assert g.edge_count == 12 * 8
     assert sparsity(g) == 0.0
 
@@ -102,8 +103,8 @@ def test_rewiring_changes_layout_but_not_counts():
                        rewire_threshold=0, seed=3)
     wired = SynthConfig(n_people=40, n_movies=20, epsilon=0.5,
                         rewire_threshold=5, seed=3)
-    g0 = generate_power_law_bipartite(base)
-    g1 = generate_power_law_bipartite(wired)
+    g0, _ = generate_power_law_bipartite(base)
+    g1, _ = generate_power_law_bipartite(wired)
     assert g0.edge_count == g1.edge_count
     assert set(g0.edge_ids()) != set(g1.edge_ids())
 
@@ -112,14 +113,14 @@ def test_skipped_rewires_counted_when_person_saturated():
     # a single-movie world: nobody has an unseen movie to rewire to
     cfg = SynthConfig(n_people=5, n_movies=1, epsilon=0.1,
                       rewire_threshold=11, rewire_outcomes=11, seed=2)
-    g, diag = generate_with_diagnostics(cfg)
+    g, diag = generate_power_law_bipartite(cfg)
     assert diag.skipped_rewires == 5
     assert g.edge_count == 5
 
 
 def test_repair_pass_reports_zero_on_connected_output():
-    _, diag = generate_with_diagnostics(SynthConfig(n_people=30, n_movies=10,
-                                                    epsilon=0.4, seed=1))
+    _, diag = generate_power_law_bipartite(SynthConfig(n_people=30, n_movies=10,
+                                                       epsilon=0.4, seed=1))
     assert diag.repair_edges == 0
 
 
@@ -158,7 +159,7 @@ def test_calibration_known_values():
 def test_calibration_generated_min_degree_round_trip():
     for kappa in (1, 4, 15, 40, 75):
         eps = calibrate_epsilon(kappa)
-        g = generate_power_law_bipartite(SynthConfig(epsilon=eps, seed=0))
+        g, _ = generate_power_law_bipartite(SynthConfig(epsilon=eps, seed=0))
         assert int(g.person_degrees().min()) == kappa
 
 
@@ -188,14 +189,14 @@ def test_wreath_twelve_four():
     g = generate_wreath(12, 4)
     assert g.n == 12
     assert g.edge_count == 24
-    assert all(g.degree_of(v) == 4 for v in range(12))
-    assert g.has_edge(0, 1) and g.has_edge(0, 2) and not g.has_edge(0, 3)
+    assert all(len(g.neighbors(v)) == 4 for v in range(12))
+    assert g.neighbors(0) == frozenset({1, 2, 10, 11})
 
 
 def test_wreath_cycle():
     g = generate_wreath(5, 2)
     assert g.edge_count == 5
-    assert all(g.degree_of(v) == 2 for v in range(5))
+    assert all(len(g.neighbors(v)) == 2 for v in range(5))
 
 
 def test_wreath_validation():
@@ -214,7 +215,9 @@ def test_wreath_validation():
 
 def test_rewire_p_zero_is_identity():
     g = generate_wreath(20, 4)
-    assert set(rewire(g, 0.0).edge_ids()) == set(g.edge_ids())
+    r, skipped = rewire(g, 0.0)
+    assert set(r.edge_ids()) == set(g.edge_ids())
+    assert skipped == 0
 
 
 def test_rewire_preserves_edge_count_and_simplicity():
@@ -222,7 +225,7 @@ def test_rewire_preserves_edge_count_and_simplicity():
         g = generate_wreath(30, 6)
         for p in (0.2, 1.0):
             for mode in (UNIFORM, PREFERENTIAL):
-                r = rewire(g, p, mode, seed=seed)
+                r, _ = rewire(g, p, mode, seed=seed)
                 assert r.edge_count == g.edge_count
                 assert sorted(int(v) for v in r.vertices) == list(range(30))
                 for u, v in r.edge_ids():
@@ -232,24 +235,66 @@ def test_rewire_preserves_edge_count_and_simplicity():
 
 def test_rewire_p_one_touches_the_lattice():
     g = generate_wreath(40, 4)
-    r = rewire(g, 1.0, UNIFORM, seed=0)
+    r, _ = rewire(g, 1.0, UNIFORM, seed=0)
     assert set(r.edge_ids()) != set(g.edge_ids())
 
 
 def test_rewire_deterministic_per_seed():
     g = generate_wreath(25, 4)
-    a = rewire(g, 0.5, PREFERENTIAL, seed="s")
-    b = rewire(g, 0.5, PREFERENTIAL, seed="s")
-    c = rewire(g, 0.5, PREFERENTIAL, seed="t")
+    a, _ = rewire(g, 0.5, PREFERENTIAL, seed="s")
+    b, _ = rewire(g, 0.5, PREFERENTIAL, seed="s")
+    c, _ = rewire(g, 0.5, PREFERENTIAL, seed="t")
     assert set(a.edge_ids()) == set(b.edge_ids())
     assert set(a.edge_ids()) != set(c.edge_ids())
 
 
 def test_rewire_complete_graph_skips_everything():
     k5 = generate_wreath(5, 4)  # complete graph on 5 vertices
-    r, skipped = rewire_with_diagnostics(k5, 1.0, UNIFORM, seed=1)
+    r, skipped = rewire(k5, 1.0, UNIFORM, seed=1)
     assert skipped == 10
     assert set(r.edge_ids()) == set(k5.edge_ids())
+
+
+def _assert_rewire_matches_oracle(g, p, mode, seed):
+    # the result skips SocialGraph's validation, so compare the raw arrays
+    got, skipped = rewire(g, p, mode, seed=seed)
+    want, want_skipped = rewire_oracle(g, p, mode, seed=seed)
+    assert skipped == want_skipped
+    for name in ("vertices", "_eu", "_ev"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (name, p, mode, seed)
+
+
+@pytest.mark.parametrize("mode", [UNIFORM, PREFERENTIAL])
+@pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
+def test_rewire_matches_id_space_oracle(p, mode):
+    # random_social ids are often non-contiguous, so an index taken for an id
+    # shows here; in a lattice every id equals its index
+    for seed in range(40):
+        _assert_rewire_matches_oracle(random_social(seed), p, mode, seed)
+
+
+@pytest.mark.parametrize("mode", [UNIFORM, PREFERENTIAL])
+@pytest.mark.parametrize("missing", ["matching", "ring"])
+def test_rewire_matches_oracle_when_rejection_starves(mode, missing):
+    # K_60 minus a perfect matching (or minus a ring) leaves one or two valid
+    # targets per rewired edge, so 64 uniform draws often miss them all and
+    # the pool scan picks instead; pools of two, where the scan order decides
+    # the pick, come mostly from the ring
+    n = 60
+    gap = {(i, (i + 1) % n) for i in range(0, n, 2 if missing == "matching" else 1)}
+    ids = [7 + 3 * i for i in range(n)]
+    edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)
+             if (i, j) not in gap and (j, i) not in gap]
+    g = SocialGraph(ids, edges)
+    for p in (0.05, 0.5, 1.0):
+        for seed in range(3):
+            _assert_rewire_matches_oracle(g, p, mode, seed)
+
+
+@pytest.mark.parametrize("mode", [UNIFORM, PREFERENTIAL])
+def test_rewire_matches_oracle_when_every_edge_is_skipped(mode):
+    _assert_rewire_matches_oracle(generate_wreath(5, 4), 1.0, mode, 1)
 
 
 def test_rewire_validation():
@@ -263,8 +308,8 @@ def test_rewire_validation():
 def test_preferential_rewiring_builds_hubs():
     # degree-proportional targeting should spread degrees wider than uniform
     g = generate_wreath(200, 4)
-    uni = rewire(g, 1.0, UNIFORM, seed=7)
-    pref = rewire(g, 1.0, PREFERENTIAL, seed=7)
+    uni, _ = rewire(g, 1.0, UNIFORM, seed=7)
+    pref, _ = rewire(g, 1.0, PREFERENTIAL, seed=7)
     assert int(pref.degrees().max()) > int(uni.degrees().max())
 
 
