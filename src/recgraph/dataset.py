@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from itertools import filterfalse, repeat
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
+from .edges import component_labels
 from .errors import (
     EmptyDatasetError,
     FitError,
@@ -64,7 +63,6 @@ class BipartiteRatings:
         keys = _unique(pi * self.n_movies + mi)
         self.duplicate_count = len(edges) - len(keys)
         self.edge_person_idx, self.edge_movie_idx = np.divmod(keys, max(self.n_movies, 1))
-        self._matrix = None
 
     # -- basic shape ----------------------------------------------------
 
@@ -96,13 +94,13 @@ class BipartiteRatings:
         i = self._pindex.get(int(person))
         if i is None:
             raise UnknownNodeError(f"unknown person id: {person}")
-        return frozenset(self.movies[self.incidence()[i].nonzero()[1]].tolist())
+        return frozenset(self.movies[self.edge_movie_idx[self.edge_person_idx == i]].tolist())
 
     def people_of(self, movie) -> frozenset:
         j = self._mindex.get(int(movie))
         if j is None:
             raise UnknownNodeError(f"unknown movie id: {movie}")
-        return frozenset(self.people[self.incidence()[:, j].nonzero()[0]].tolist())
+        return frozenset(self.people[self.edge_person_idx[self.edge_movie_idx == j]].tolist())
 
     def person_degrees(self) -> np.ndarray:
         """Rating counts aligned with ``self.people``."""
@@ -111,16 +109,6 @@ class BipartiteRatings:
     def movie_degrees(self) -> np.ndarray:
         """Rating counts aligned with ``self.movies``."""
         return np.bincount(self.edge_movie_idx, minlength=self.n_movies)
-
-    def incidence(self):
-        """People x movies sparse 0/1 matrix (cached)."""
-        if self._matrix is None:
-            data = np.ones(self.edge_count, dtype=np.int32)
-            self._matrix = sparse.csr_matrix(
-                (data, (self.edge_person_idx, self.edge_movie_idx)),
-                shape=(self.n_people, self.n_movies),
-            )
-        return self._matrix
 
     def edge_ids(self):
         """Iterate (person_id, movie_id) pairs in ascending order."""
@@ -317,24 +305,15 @@ def sparsity(g: BipartiteRatings) -> float:
     return (cells - g.edge_count) / cells
 
 
-def _bipartite_csgraph(g: BipartiteRatings):
-    """People and movies in one index space: people first, then movies."""
-    n = g.n_people + g.n_movies
-    rows = g.edge_person_idx
-    cols = g.edge_movie_idx + g.n_people
-    data = np.ones(len(rows), dtype=np.int8)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+def _bipartite_labels(g: BipartiteRatings) -> np.ndarray:
+    """Component labels (see ``edges.component_labels``) of people, then movies."""
+    return component_labels(g.n_people + g.n_movies, g.edge_person_idx,
+                            g.edge_movie_idx + g.n_people)
 
 
 def is_connected_bipartite(g: BipartiteRatings) -> bool:
     """True when one component spans every person and every movie."""
-    n = g.n_people + g.n_movies
-    if n <= 1:
-        return True
-    if g.edge_count == 0:
-        return False
-    n_comp, _ = csgraph.connected_components(_bipartite_csgraph(g), directed=False)
-    return n_comp == 1
+    return not _bipartite_labels(g).any()
 
 
 def bfs_reach_count(g: BipartiteRatings, start, depth, mode="person") -> int:
@@ -360,7 +339,7 @@ def bfs_reach_count(g: BipartiteRatings, start, depth, mode="person") -> int:
     else:
         raise ValueError(f"mode must be 'person' or 'movie', got {mode!r}")
 
-    inc = g.incidence()
+    pi, mi = g.edge_person_idx, g.edge_movie_idx
     seen_p = np.zeros(g.n_people, dtype=bool)
     seen_m = np.zeros(g.n_movies, dtype=bool)
     if person_side:
@@ -371,11 +350,13 @@ def bfs_reach_count(g: BipartiteRatings, start, depth, mode="person") -> int:
         if not frontier.any():
             break
         if person_side:
-            reached = (inc.T @ frontier.astype(np.int32)) > 0
+            reached = np.zeros(g.n_movies, dtype=bool)
+            reached[mi[frontier[pi]]] = True
             frontier = reached & ~seen_m
             seen_m |= frontier
         else:
-            reached = (inc @ frontier.astype(np.int32)) > 0
+            reached = np.zeros(g.n_people, dtype=bool)
+            reached[pi[frontier[mi]]] = True
             frontier = reached & ~seen_p
             seen_p |= frontier
         person_side = not person_side

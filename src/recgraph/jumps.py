@@ -16,13 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .dataset import BipartiteRatings
+from .edges import csr
 from .errors import GraphMismatchError, UnknownNodeError
 
 SKIP = "skip"
 HAMMOCK = "hammock"
+
+# Byte budget for one block of co-rating counts: its rows of people times
+# the people from the block's first row on, at the incidence's item size.
+CO_RATING_BLOCK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,7 @@ class SocialGraph:
             self._eu = np.empty(0, dtype=np.int64)
             self._ev = np.empty(0, dtype=np.int64)
         self._csr = None
+        self._labels = None  # component label per vertex, filled by metrics
         self._components = None  # ComponentReport, filled by metrics
 
     @classmethod
@@ -87,6 +92,7 @@ class SocialGraph:
         g._eu = np.asarray(eu, dtype=np.int64)
         g._ev = np.asarray(ev, dtype=np.int64)
         g._csr = None
+        g._labels = None
         g._components = None
         return g
 
@@ -132,12 +138,10 @@ class SocialGraph:
             yield int(self.vertices[iu]), int(self.vertices[iv])
 
     def adjacency_csr(self):
-        """Symmetric sparse adjacency over vertex indices (cached)."""
+        """Symmetric adjacency rows over vertex indices (cached); see ``edges.Csr``."""
         if self._csr is None:
-            rows = np.concatenate([self._eu, self._ev])
-            cols = np.concatenate([self._ev, self._eu])
-            data = np.ones(len(rows), dtype=np.int8)
-            self._csr = sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+            self._csr = csr(self.n, np.concatenate([self._eu, self._ev]),
+                            np.concatenate([self._ev, self._eu]))
         return self._csr
 
     def subgraph(self, vertex_ids) -> "SocialGraph":
@@ -162,18 +166,27 @@ def co_rating_pairs(g: BipartiteRatings):
     """All person index pairs sharing at least one movie, with shared counts.
 
     Returns (iu, iv, count) arrays with iu < iv over indices into
-    ``g.people``.  Equivalent to walking every movie's rater list and
-    counting pairs; the incidence-matrix product performs exactly that
-    enumeration in one compiled step.  Memory scales with the number of
-    co-rating pairs, so this is meant for datasets up to a few thousand
-    people.
+    ``g.people``, ordered by (iu, iv); iu and iv are int64, count int32.
+    The counts come from a dense float32 product of the person x movie
+    incidence with itself, one block of people at a time: the block's rows
+    times every later person's row, of which the strict upper triangle is
+    kept.  Every partial sum is a whole number no larger than
+    ``g.n_movies``, so float32 counts are exact below 2**24 movies (float64
+    is used above that).  The incidence takes n_people x n_movies x 4 bytes;
+    each block product stays within CO_RATING_BLOCK_BYTES (or one row of
+    people, when that is more).
     """
-    inc = g.incidence()
-    co = (inc @ inc.T).tocoo()
-    mask = co.row < co.col
-    iu, iv, cnt = co.row[mask], co.col[mask], co.data[mask]
-    order = np.lexsort((iv, iu))
-    return iu[order].astype(np.int64), iv[order].astype(np.int64), cnt[order]
+    n = g.n_people
+    dtype = np.float32 if g.n_movies < 2**24 else np.float64
+    inc = np.zeros((n, g.n_movies), dtype=dtype)
+    inc[g.edge_person_idx, g.edge_movie_idx] = 1
+    step = max(1, CO_RATING_BLOCK_BYTES // (inc.itemsize * max(n, 1)))
+    parts = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0, dtype=np.int32),)]
+    for a in range(0, n, step):
+        block = np.triu(inc[a:a + step] @ inc[a:].T, 1)
+        r, c = np.nonzero(block)  # row-major, so the pairs come out ordered
+        parts.append((r + a, c + a, block[r, c].astype(np.int32)))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def apply_jump(g: BipartiteRatings, spec: JumpSpec, pairs=None) -> SocialGraph:
@@ -229,22 +242,20 @@ class RecommenderGraph:
                 f"person_arcs={self.person_arc_count}, movie_arcs={self.movie_arc_count})")
 
     def out_csr(self):
-        """Directed adjacency over a combined index space (cached).
+        """Out-arc rows over a combined index space (cached); see ``edges.Csr``.
 
         Indices 0..n_people-1 are people (in ``ratings.people`` order) and
         the rest are movies (in ``ratings.movies`` order).
         """
         if self._out is None:
             np_ = self.n_people
-            n = np_ + self.n_movies
-            rows = np.concatenate([
+            tails = np.concatenate([
                 self.social._eu, self.social._ev,
                 self.ratings.edge_person_idx,
             ])
-            cols = np.concatenate([
+            heads = np.concatenate([
                 self.social._ev, self.social._eu,
                 self.ratings.edge_movie_idx + np_,
             ])
-            data = np.ones(len(rows), dtype=np.int8)
-            self._out = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+            self._out = csr(np_ + self.n_movies, tails, heads)
         return self._out

@@ -10,6 +10,12 @@ frontier bits stay within BFS_BLOCK_BYTES (or one word per arc, when that is
 more), which bounds memory however many sources run.  Above 5,000 giant
 people the source set is uniformly sampled (seeded) instead, and the result
 says so.
+
+Everything is numpy on the graphs' edge arrays.  Components come from one
+hook-and-compress labelling of the social edges (``edges.component_labels``),
+which a social graph and its recommender graph share.  Clustering counts
+the neighbours each edge's ends share with adjacency bitsets, in blocks
+bounded by CLUSTERING_BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph
 
+from .edges import component_labels, reverse
 from .errors import UndefinedMetricError
 from .jumps import RecommenderGraph, SocialGraph
 
@@ -32,6 +38,10 @@ DEFAULT_SAMPLED_SOURCES = 1000
 # on dense graphs one word per block ran fastest, while sparse lattices
 # (~50 levels) want all their sources in one block to pay each level once.
 BFS_BLOCK_BYTES = 4 << 20
+# Byte budget for the adjacency bitsets of one column range in the
+# clustering count, and for the bitsets of one block of edges gathered from
+# them; each holds at least one word per row.
+CLUSTERING_BLOCK_BYTES = 4 << 20
 
 
 # -- types -------------------------------------------------------------------
@@ -141,12 +151,13 @@ def connected_components(graph) -> ComponentReport:
 
 
 def _component_report(social: SocialGraph, ratings) -> ComponentReport:
-    n = social.n
-    if n:
-        n_comp, labels = csgraph.connected_components(social.adjacency_csr(), directed=False)
-    else:
-        n_comp, labels = 0, np.empty(0, dtype=np.int64)
-    people = np.bincount(labels, minlength=n_comp)
+    # a recommender graph's people partition as its social graph's do, so
+    # the reports of both share one labelling, kept on the social graph
+    if social._labels is None:
+        social._labels = component_labels(social.n, social._eu, social._ev)
+    labels = social._labels
+    people = np.bincount(labels)
+    n_comp = len(people)
     # vertices are sorted, so a label's first index holds its minimum person id
     _, first = np.unique(labels, return_index=True)
     anchor = social.vertices[first]
@@ -275,9 +286,9 @@ def _bfs_distance_sums(in_csr, src_idx, n_people):
     are the (source, target) pairs at that distance.  Sources are visited at
     distance 0, so self-pairs never count.  Unreachable pairs never count.
     """
-    n = in_csr.shape[0]
     indptr = in_csr.indptr
-    indices = in_csr.indices.astype(np.intp)  # take() gathers fastest with native indices
+    n = len(indptr) - 1
+    indices = in_csr.indices.astype(np.intp, copy=False)  # take() gathers fastest with native indices
     # reduceat yields an element, not zero, for an empty segment, so
     # vertices without in-arcs are left out of the pull
     rows = np.flatnonzero(np.diff(indptr))
@@ -347,7 +358,7 @@ def measure_l_r_l_pm(gr: RecommenderGraph, max_sources=None, seed=0) -> PathLeng
     sources, sampled = _pick_sources(report.giant_people, max_sources, seed)
     src_idx = np.searchsorted(gr.ratings.people, sources)
     sum_pp, pairs_pp, sum_pm, pairs_pm = _bfs_distance_sums(
-        gr.out_csr().T.tocsr(), src_idx, gr.n_people)
+        reverse(gr.out_csr()), src_idx, gr.n_people)
     both = pairs_pp + pairs_pm
     return PathLengthStats(
         l_pp=sum_pp / pairs_pp if pairs_pp else None,
@@ -366,17 +377,37 @@ def measure_l_r_l_pm(gr: RecommenderGraph, max_sources=None, seed=0) -> PathLeng
 def clustering_coefficient(g: SocialGraph) -> float:
     """Mean over vertices of the edge density among each vertex's neighbors.
 
-    Vertices with fewer than two neighbors contribute zero.
+    Vertices with fewer than two neighbors contribute zero.  The neighbours
+    two ends of an edge share are counted as set bits of the AND of their
+    adjacency bitsets, 64 columns to a uint64 word, over column ranges and
+    edge blocks that stay within CLUSTERING_BLOCK_BYTES; the shared
+    neighbours summed over a vertex's edges are twice its triangles.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         raise UndefinedMetricError("clustering coefficient of an empty graph")
     if g.edge_count == 0:
         return 0.0
-    a = g.adjacency_csr().astype(np.int64)
-    closed = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()  # 2 * triangles at i
+    eu, ev = g._eu, g._ev
+    tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
+    words = min(-(-n // 64), max(1, CLUSTERING_BLOCK_BYTES // (8 * n)))
+    step = max(1, CLUSTERING_BLOCK_BYTES // (8 * words))
+    shared = np.zeros(g.edge_count, dtype=np.int64)
+    for lo in range(0, n, 64 * words):
+        col = heads - lo
+        arcs = (col >= 0) & (col < 64 * words)
+        col = col[arcs]
+        bits = np.zeros(n * words, dtype=np.uint64)
+        np.bitwise_or.at(bits, tails[arcs] * words + col // 64,
+                         np.left_shift(np.uint64(1), (col % 64).astype(np.uint64)))
+        bits = bits.reshape(n, words)
+        for e in range(0, g.edge_count, step):
+            both = bits[eu[e:e + step]] & bits[ev[e:e + step]]
+            shared[e:e + step] += np.bitwise_count(both).sum(axis=1, dtype=np.int64)
+    closed = np.bincount(tails, np.concatenate([shared, shared]), minlength=n)  # 2 * triangles at i
     deg = g.degrees().astype(np.int64)
     denom = deg * (deg - 1)
-    contrib = np.divide(closed, denom, out=np.zeros(g.n, dtype=float),
+    contrib = np.divide(closed, denom, out=np.zeros(n, dtype=float),
                         where=denom > 0)
     return float(contrib.mean())
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.sparse import csgraph
 
-from .dataset import BipartiteRatings, _bipartite_csgraph
+from .dataset import BipartiteRatings, _bipartite_labels
 from .errors import UndefinedMetricError
 from .jumps import SocialGraph
 from .metrics import clustering_coefficient, connected_components, measure_l_pp
@@ -127,10 +126,11 @@ def _repair_connectivity(rated, n_people, n_movies) -> int:
         people=range(1, n_people + 1),
         movies=range(1, n_movies + 1),
     )
-    n_comp, labels = csgraph.connected_components(_bipartite_csgraph(graph), directed=False)
+    labels = _bipartite_labels(graph)
+    sizes = np.bincount(labels)
+    n_comp = len(sizes)
     if n_comp <= 1:
         return 0
-    sizes = np.bincount(labels, minlength=n_comp)
     people_per = np.bincount(labels[:graph.n_people], minlength=n_comp)
     # giant pick: most vertices, then most people, then smallest first index
     giant = min(range(n_comp), key=lambda c: (-int(sizes[c]), -int(people_per[c]), c))

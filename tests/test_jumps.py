@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from recgraph import (
@@ -10,6 +11,7 @@ from recgraph import (
     apply_jump,
     co_rating_pairs,
 )
+from recgraph import jumps
 from recgraph.jumps import HAMMOCK, SKIP
 
 from oracles import hammock_edges_bruteforce, random_ratings
@@ -138,6 +140,26 @@ def test_precomputed_pairs_match():
                     == set(apply_jump(g, spec).edge_ids()))
 
 
+def test_co_rating_blocks_match_one_block(monkeypatch):
+    # blocks of 1, 2, 3 and 5 people leave a short last block on most graphs
+    for seed in range(30):
+        g = random_ratings(seed, max_people=40, max_movies=30)
+        whole = co_rating_pairs(g)
+        for step in (1, 2, 3, 5):
+            monkeypatch.setattr(jumps, "CO_RATING_BLOCK_BYTES", 4 * g.n_people * step)
+            blocked = co_rating_pairs(g)
+            for got, want in zip(blocked, whole):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            iu, iv, cnt = blocked
+            for w in (1, 2, 3):
+                keep = cnt >= w
+                edges = set(zip(g.people[iu[keep]].tolist(), g.people[iv[keep]].tolist()))
+                assert edges == hammock_edges_bruteforce(g, w)
+        assert [a.dtype for a in whole] == [np.int64, np.int64, np.int32]
+        assert (np.diff(whole[0] * g.n_people + whole[1]) > 0).all()  # ordered by (iu, iv)
+
+
 def test_two_step_reachability_is_composed_jumps():
     # distance 2 in the social graph means exactly: no direct edge, but a
     # shared neighbor exists
@@ -187,13 +209,18 @@ def test_movies_are_sinks_and_person_arcs_paired():
     for seed in range(15):
         g = random_ratings(seed)
         gr = RecommenderGraph(g, apply_jump(g, JumpSpec.skip()))
-        out = gr.out_csr()
+        indptr, indices = gr.out_csr()
         n_people = gr.n_people
-        assert out.shape == (n_people + gr.n_movies,) * 2
-        assert out[n_people:].nnz == 0  # nothing ever leaves a movie
-        person_block = out[:n_people, :n_people]
-        assert person_block.nnz == gr.person_arc_count
-        assert (person_block != person_block.T).nnz == 0
+        assert len(indptr) == n_people + gr.n_movies + 1
+        assert indptr[-1] == len(indices)
+        assert (indptr[n_people:] == indptr[n_people]).all()  # nothing ever leaves a movie
+        tails = np.repeat(np.arange(n_people), np.diff(indptr[:n_people + 1]))
+        heads = indices[:indptr[n_people]]
+        to_person = heads < n_people
+        person_arcs = set(zip(tails[to_person].tolist(), heads[to_person].tolist()))
+        assert len(person_arcs) == to_person.sum() == gr.person_arc_count
+        assert person_arcs == {(v, u) for u, v in person_arcs}
+        assert len(heads) - to_person.sum() == gr.movie_arc_count
 
 
 def test_mismatched_social_graph_rejected():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -397,20 +399,29 @@ def test_clustering_fixtures():
     assert clustering_coefficient(SocialGraph([1, 2], [])) == 0.0
 
 
-def test_clustering_matches_direct_count():
-    for seed in range(40):
-        gs = random_social(seed, max_n=25)
-        ids = [int(v) for v in gs.vertices]
-        total = 0.0
-        for v in ids:
-            nbrs = sorted(gs.neighbors(v))
-            d = len(nbrs)
-            if d < 2:
-                continue
-            links = sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
-                        if b in gs.neighbors(a))
-            total += 2.0 * links / (d * (d - 1))
-        assert abs(clustering_coefficient(gs) - total / len(ids)) < 1e-12
+def test_clustering_matches_direct_count(monkeypatch):
+    graphs = [random_social(seed, max_n=25) for seed in range(40)]
+    rng = random.Random("clustering")
+    for n in (63, 64, 65, 130):  # bitset rows of one word, a full word, a word and a bit
+        ids = [3 + 2 * i for i in range(n)]
+        graphs.append(SocialGraph(ids, [(u, v) for i, u in enumerate(ids)
+                                        for v in ids[i + 1:] if rng.random() < 0.15]))
+    # the default budget, then one word and one edge per block, then two
+    # words (a 130-vertex graph's last column range holds 2 columns)
+    for block_bytes in (metrics.CLUSTERING_BLOCK_BYTES, 8, 2080):
+        monkeypatch.setattr(metrics, "CLUSTERING_BLOCK_BYTES", block_bytes)
+        for gs in graphs:
+            ids = [int(v) for v in gs.vertices]
+            total = 0.0
+            for v in ids:
+                nbrs = sorted(gs.neighbors(v))
+                d = len(nbrs)
+                if d < 2:
+                    continue
+                links = sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
+                            if b in gs.neighbors(a))
+                total += 2.0 * links / (d * (d - 1))
+            assert abs(clustering_coefficient(gs) - total / len(ids)) < 1e-12
 
 
 # -- report utilities ----------------------------------------------------------------
