@@ -185,6 +185,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"need 1 <= kappa_min <= kappa_max, got [{cfg.kappa_min}, {cfg.kappa_max}]")
     if cfg.trials < 1:
         raise ConfigError("trials must be at least 1")
+    if cfg.n_people < 2:
+        raise ConfigError(f"n_people must be at least 2, got {cfg.n_people}")
+    if cfg.n_movies < 1:
+        raise ConfigError(f"n_movies must be at least 1, got {cfg.n_movies}")
     if cfg.max_sources is not None and cfg.max_sources < 1:
         raise ConfigError("max sources must be at least 1")
     if cfg.mode not in REWIRE_MODES + ("both",):
@@ -296,21 +300,13 @@ def sweep_rows(g, w_min, w_max, max_sources=None, seed=0, warn=None):
     return rows
 
 
-SWEEP_HEADER = ("w,components,giant_people,giant_movies,isolated_people,"
-                "l_pp_measured,l_r_measured,l_pm_measured,"
-                "l_pp_predicted,l_r_predicted,l_pm_predicted,sampled_sources")
-
-
 def sweep_csv(rows) -> str:
-    lines = [SWEEP_HEADER]
+    """One column per SweepRow field: numbers through csv_float, strings as they are."""
+    names = [f.name for f in fields(SweepRow)]
+    lines = [",".join(names)]
     for r in rows:
-        lines.append(",".join([
-            str(r.w), str(r.components), str(r.giant_people), str(r.giant_movies),
-            str(r.isolated_people),
-            csv_float(r.l_pp_measured), csv_float(r.l_r_measured), csv_float(r.l_pm_measured),
-            csv_float(r.l_pp_predicted), csv_float(r.l_r_predicted), csv_float(r.l_pm_predicted),
-            r.sampled_sources,
-        ]))
+        values = (getattr(r, name) for name in names)
+        lines.append(",".join(v if isinstance(v, str) else csv_float(v) for v in values))
     return "\n".join(lines) + "\n"
 
 
@@ -350,9 +346,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_synth_study(cfg: RunConfig) -> int:
-    metric_names = ("l_pp_measured", "l_r_measured", "l_pm_measured",
-                    "l_pp_predicted", "l_r_predicted", "l_pm_predicted")
-    study_lines = ["kappa,epsilon,w," + ",".join(metric_names) + ",defined_trials"]
+    lengths = [f.name for f in fields(SweepRow) if f.name.startswith("l_")]
+    study_lines = ["kappa,epsilon,w," + ",".join(lengths) + ",defined_trials"]
     linf_lines = ["kappa,epsilon,linf_l_pp"]
     widths = range(cfg.w_min, cfg.w_max + 1)
     for kappa in range(cfg.kappa_min, cfg.kappa_max + 1):
@@ -362,7 +357,7 @@ def cmd_synth_study(cfg: RunConfig) -> int:
             print(f"warning: kappa={kappa} skipped: {exc}", file=sys.stderr)
             linf_lines.append(f"{kappa},,")
             continue
-        per_w = {w: {name: [] for name in metric_names} for w in widths}
+        per_w = {w: {name: [] for name in lengths} for w in widths}
         for trial in range(cfg.trials):
             synth_cfg = SynthConfig(
                 n_people=cfg.n_people, n_movies=cfg.n_movies, epsilon=eps,
@@ -371,7 +366,7 @@ def cmd_synth_study(cfg: RunConfig) -> int:
             g, _ = generate_power_law_bipartite(synth_cfg)
             rows = sweep_rows(g, cfg.w_min, cfg.w_max, cfg.max_sources, cfg.seed)
             for row in rows:
-                for name in metric_names:
+                for name in lengths:
                     value = getattr(row, name)
                     if value is not None:
                         per_w[row.w][name].append(value)
@@ -387,7 +382,7 @@ def cmd_synth_study(cfg: RunConfig) -> int:
             predicted_avg.append(averages["l_pp_predicted"])
             study_lines.append(",".join(
                 [str(kappa), csv_float(eps), str(w)]
-                + [csv_float(averages[name]) for name in metric_names]
+                + [csv_float(averages[name]) for name in lengths]
                 + [str(len(bucket["l_pp_measured"]))]
             ))
         try:

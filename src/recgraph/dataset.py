@@ -55,8 +55,6 @@ class BipartiteRatings:
         self.movies = _vertex_ids(edges[:, 1], movies, "movie")
         if (self.n_people and self.people[0] < 0) or (self.n_movies and self.movies[0] < 0):
             raise ValueError("person and movie ids must be non-negative")
-        self._pindex = dict(zip(self.people.tolist(), range(self.n_people)))
-        self._mindex = dict(zip(self.movies.tolist(), range(self.n_movies)))
         pi = np.searchsorted(self.people, edges[:, 0])
         mi = np.searchsorted(self.movies, edges[:, 1])
         # One sort dedupes the pairs and leaves them in (person, movie) order.
@@ -84,22 +82,12 @@ class BipartiteRatings:
 
     # -- lookups ---------------------------------------------------------
 
-    def has_person(self, person) -> bool:
-        return int(person) in self._pindex
-
-    def has_movie(self, movie) -> bool:
-        return int(movie) in self._mindex
-
     def movies_of(self, person) -> frozenset:
-        i = self._pindex.get(int(person))
-        if i is None:
-            raise UnknownNodeError(f"unknown person id: {person}")
+        i = _index_of(self.people, person, "person")
         return frozenset(self.movies[self.edge_movie_idx[self.edge_person_idx == i]].tolist())
 
     def people_of(self, movie) -> frozenset:
-        j = self._mindex.get(int(movie))
-        if j is None:
-            raise UnknownNodeError(f"unknown movie id: {movie}")
+        j = _index_of(self.movies, movie, "movie")
         return frozenset(self.people[self.edge_person_idx[self.edge_movie_idx == j]].tolist())
 
     def person_degrees(self) -> np.ndarray:
@@ -122,6 +110,15 @@ class BipartiteRatings:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             for p, m in self.edge_ids():
                 fh.write(f"{p}\t{m}\t1\t0\n")
+
+
+def _index_of(ids, value, side) -> int:
+    """Index of an id in the sorted id array ``ids``; UnknownNodeError if absent."""
+    v = int(value)
+    i = int(np.searchsorted(ids, v))
+    if i == len(ids) or ids[i] != v:
+        raise UnknownNodeError(f"unknown {side} id: {value}")
+    return i
 
 
 def _int64_array(values) -> np.ndarray:
@@ -325,16 +322,12 @@ def bfs_reach_count(g: BipartiteRatings, start, depth, mode="person") -> int:
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if mode == "person":
-        if not g.has_person(start):
-            raise UnknownNodeError(f"unknown person id: {start}")
         frontier = np.zeros(g.n_people, dtype=bool)
-        frontier[g._pindex[int(start)]] = True
+        frontier[_index_of(g.people, start, "person")] = True
         person_side = True
     elif mode == "movie":
-        if not g.has_movie(start):
-            raise UnknownNodeError(f"unknown movie id: {start}")
         frontier = np.zeros(g.n_movies, dtype=bool)
-        frontier[g._mindex[int(start)]] = True
+        frontier[_index_of(g.movies, start, "movie")] = True
         person_side = False
     else:
         raise ValueError(f"mode must be 'person' or 'movie', got {mode!r}")

@@ -32,13 +32,6 @@ def csr(n, tails, heads) -> Csr:
     return Csr(indptr, keys % max(n, 1))
 
 
-def reverse(rows: Csr) -> Csr:
-    """The rows of the reversed arcs: row v lists the tails of v's in-arcs."""
-    n = len(rows.indptr) - 1
-    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(rows.indptr))
-    return csr(n, rows.indices, tails)
-
-
 def component_labels(n, u, v) -> np.ndarray:
     """Component label of each vertex of the undirected graph with edges u[i]-v[i].
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import BipartiteRatings
+from .dataset import BipartiteRatings, _index_of
 from .edges import csr
 from .errors import GraphMismatchError, UnknownNodeError
 
@@ -116,26 +116,10 @@ class SocialGraph:
         both = np.concatenate([self._eu, self._ev])
         return np.bincount(both, minlength=self.n)
 
-    def _position(self, vertex) -> int:
-        """Index of a vertex id in the sorted ``self.vertices``."""
-        v = int(vertex)
-        i = int(np.searchsorted(self.vertices, v))
-        if i == self.n or self.vertices[i] != v:
-            raise UnknownNodeError(f"unknown vertex id: {vertex}")
-        return i
-
-    def _row(self, i) -> np.ndarray:
-        """Neighbour indices of the vertex at index i."""
-        csr = self.adjacency_csr()
-        return csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
-
     def neighbors(self, vertex) -> frozenset:
-        return frozenset(self.vertices[self._row(self._position(vertex))].tolist())
-
-    def edge_ids(self):
-        """Iterate (u, v) id pairs with u < v, in ascending order."""
-        for iu, iv in zip(self._eu, self._ev):
-            yield int(self.vertices[iu]), int(self.vertices[iv])
+        i = _index_of(self.vertices, vertex, "vertex")
+        rows = self.adjacency_csr()
+        return frozenset(self.vertices[rows.indices[rows.indptr[i]:rows.indptr[i + 1]]].tolist())
 
     def adjacency_csr(self):
         """Symmetric adjacency rows over vertex indices (cached); see ``edges.Csr``."""
@@ -242,10 +226,12 @@ class RecommenderGraph:
                 f"person_arcs={self.person_arc_count}, movie_arcs={self.movie_arc_count})")
 
     def out_csr(self):
-        """Out-arc rows over a combined index space (cached); see ``edges.Csr``.
+        """G_r's arcs as out-arc rows over one index space (cached); see ``edges.Csr``.
 
         Indices 0..n_people-1 are people (in ``ratings.people`` order) and
-        the rest are movies (in ``ratings.movies`` order).
+        the rest are movies (in ``ratings.movies`` order).  This lists the
+        graph; the distance pass in ``metrics`` does not build it, reading
+        the social rows and each movie's raters instead.
         """
         if self._out is None:
             np_ = self.n_people

@@ -5,11 +5,13 @@ and the small utilities (complementary degree CDFs, L-infinity discrepancy)
 the experiment drivers report.  Path lengths are exact breadth-first values:
 every graph here is unweighted, so one level-synchronous pass runs all
 giant-component sources at once, 64 to a machine word, and sums the hop
-counts as Python ints.  Sources go in blocks sized so the gathered
-frontier bits stay within BFS_BLOCK_BYTES (or one word per arc, when that is
-more), which bounds memory however many sources run.  Above 5,000 giant
-people the source set is uniformly sampled (seeded) instead, and the result
-says so.
+counts as Python ints.  The pass reads the social graph's rows and, for a
+recommender graph, each movie's raters: movies are sinks there, so a movie
+is one hop past its nearest rater and G_r's own arc rows are never built.
+Sources go in blocks sized so the gathered frontier bits stay within
+BFS_BLOCK_BYTES (or one word per arc, when that is more), which bounds
+memory however many sources run.  Above 5,000 giant people the source set
+is uniformly sampled (seeded) instead, and the result says so.
 
 Everything is numpy on the graphs' edge arrays.  Components come from one
 hook-and-compress labelling of the social edges (``edges.component_labels``),
@@ -22,11 +24,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .edges import component_labels, reverse
+from .edges import Csr, component_labels
 from .errors import UndefinedMetricError
 from .jumps import RecommenderGraph, SocialGraph
 
@@ -276,89 +278,79 @@ def _pick_sources(candidates, max_sources, seed):
     return sorted(rng.sample(ordered, count)), True
 
 
-def _bfs_distance_sums(in_csr, src_idx, n_people):
+def _rater_rows(ratings) -> Csr:
+    """Row j lists the people who rated movie j, ascending (see ``edges.Csr``)."""
+    # the edges are in (person, movie) order, so a stable sort by movie keeps it
+    indptr = np.zeros(ratings.n_movies + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ratings.edge_movie_idx, minlength=ratings.n_movies), out=indptr[1:])
+    order = np.argsort(ratings.edge_movie_idx, kind="stable")
+    return Csr(indptr, ratings.edge_person_idx[order])
+
+
+_NO_RATERS = Csr(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def _bfs_distance_sums(social, src_idx, raters):
     """Exact hop-count sums from every source: (sum_pp, pairs_pp, sum_pm, pairs_pm).
 
-    Row v of ``in_csr`` lists the in-neighbours of vertex v; targets below
-    ``n_people`` are people, the rest movies.  Sources run together, 64 to
-    a uint64 word and 64 * k to a block: per level every vertex ORs the
-    frontier words of its in-neighbours, and the bits it had not yet seen
-    are the (source, target) pairs at that distance.  Sources are visited at
-    distance 0, so self-pairs never count.  Unreachable pairs never count.
+    Sources are people.  Row i of ``social`` lists person i's neighbours and
+    row j of ``raters`` the people who rated movie j.  Movies are sinks, one
+    hop past their nearest rater, so each level pulls both the people and
+    the movie frontier from the last level's people frontier.  Sources run
+    together, 64 to a uint64 word and 64 * k to a block: per level every row
+    ORs the frontier words of the people it lists, and the bits it had not
+    yet seen are the (source, target) pairs at that distance.  Sources are
+    visited at distance 0, so self-pairs never count, nor do unreachable pairs.
     """
-    indptr = in_csr.indptr
-    n = len(indptr) - 1
-    indices = in_csr.indices.astype(np.intp, copy=False)  # take() gathers fastest with native indices
-    # reduceat yields an element, not zero, for an empty segment, so
-    # vertices without in-arcs are left out of the pull
-    rows = np.flatnonzero(np.diff(indptr))
-    starts = indptr[rows]
-    words = max(1, BFS_BLOCK_BYTES // (8 * max(len(indices), n)))
+    n_people, n_movies = len(social.indptr) - 1, len(raters.indptr) - 1
+    # take() gathers fastest with native indices
+    social_idx = social.indices.astype(np.intp, copy=False)
+    rater_idx = raters.indices.astype(np.intp, copy=False)
+    # reduceat yields an element, not zero, for an empty segment, so rows
+    # listing nobody are left out of the pull: an isolated source keeps its
+    # own bit, which the first mask clears, and an unrated movie stays zero
+    people_rows = np.flatnonzero(np.diff(social.indptr))
+    people_starts = social.indptr[people_rows]
+    movie_rows = np.flatnonzero(np.diff(raters.indptr))
+    movie_starts = raters.indptr[movie_rows]
+    size = max(len(social_idx) + len(rater_idx), n_people + n_movies)
+    words = max(1, BFS_BLOCK_BYTES // (8 * size))
     sum_pp = pairs_pp = sum_pm = pairs_pm = 0
     for lo in range(0, len(src_idx), 64 * words):
         block = src_idx[lo:lo + 64 * words]
         col = np.arange(len(block))
-        frontier = np.zeros((n, -(-len(block) // 64)), dtype=np.uint64)
-        frontier[block, col // 64] = np.left_shift(np.uint64(1), (col % 64).astype(np.uint64))
-        visited = frontier.copy()
+        people = np.zeros((n_people, -(-len(block) // 64)), dtype=np.uint64)
+        people[block, col // 64] = np.left_shift(np.uint64(1), (col % 64).astype(np.uint64))
+        seen_people = people.copy()
+        movies = np.zeros((n_movies, people.shape[1]), dtype=np.uint64)
+        seen_movies = movies.copy()
         for d in itertools.count(1):
-            # rows left out keep old frontier bits, all visited, so the mask clears them
-            frontier[rows] = np.bitwise_or.reduceat(np.take(frontier, indices, axis=0), starts)
-            frontier &= ~visited
-            counts = np.bitwise_count(frontier)
-            pp = int(counts[:n_people].sum(dtype=np.int64))
-            pm = int(counts[n_people:].sum(dtype=np.int64))
+            # movies first: they pull from the people frontier of level d - 1
+            movies[movie_rows] = np.bitwise_or.reduceat(
+                np.take(people, rater_idx, axis=0), movie_starts)
+            movies &= ~seen_movies
+            people[people_rows] = np.bitwise_or.reduceat(
+                np.take(people, social_idx, axis=0), people_starts)
+            people &= ~seen_people
+            pp = int(np.bitwise_count(people).sum(dtype=np.int64))
+            pm = int(np.bitwise_count(movies).sum(dtype=np.int64))
             if pp + pm == 0:
                 break
             sum_pp += d * pp
             pairs_pp += pp
             sum_pm += d * pm
             pairs_pm += pm
-            visited |= frontier
+            seen_people |= people
+            seen_movies |= movies
     return sum_pp, pairs_pp, sum_pm, pairs_pm
 
 
-def measure_l_pp(gs: SocialGraph, max_sources=None, seed=0) -> PathLengthStats:
-    """Mean shortest-path length between ordered person pairs in the giant.
-
-    One bit-parallel BFS pass (see :func:`_bfs_distance_sums`) runs from
-    every giant-component person, or a seeded sample (see
-    :func:`_pick_sources`); self-pairs are excluded.
-    """
-    report = connected_components(gs)
-    if len(report.giant_people) < 2:
-        raise UndefinedMetricError("l_pp needs a giant component with at least 2 people")
-    sources, sampled = _pick_sources(report.giant_people, max_sources, seed)
-    src_idx = np.searchsorted(gs.vertices, sources)
-    total, pairs, _, _ = _bfs_distance_sums(gs.adjacency_csr(), src_idx, gs.n)
-    return PathLengthStats(
-        l_pp=total / pairs if pairs else None,
-        l_pm=None,
-        l_r=None,
-        pairs_pp=pairs,
-        pairs_pm=0,
-        sources=len(sources),
-        sampled=sampled,
-    )
-
-
-def measure_l_r_l_pm(gr: RecommenderGraph, max_sources=None, seed=0) -> PathLengthStats:
-    """Directed means from giant-component people to people and to movies.
-
-    One bit-parallel BFS pass follows arc directions over the in-arcs of
-    G_r; movies are sinks, so they are reached but never spread the search.
-    l_pp averages over reachable person targets, l_pm over reachable movie
-    targets, and l_r over their union, so
-    l_r * (pairs_pp + pairs_pm) == l_pp * pairs_pp + l_pm * pairs_pm.
-    Unreachable pairs are simply absent from the counts.
-    """
-    report = connected_components(gr)
-    if not report.giant_people:
-        raise UndefinedMetricError("l_r needs at least one person source in the giant")
-    sources, sampled = _pick_sources(report.giant_people, max_sources, seed)
-    src_idx = np.searchsorted(gr.ratings.people, sources)
+def _path_lengths(social, raters, giant_people, max_sources, seed) -> PathLengthStats:
+    """One distance pass from the giant's people (or a sample of them)."""
+    sources, sampled = _pick_sources(giant_people, max_sources, seed)
+    src_idx = np.searchsorted(social.vertices, sources)
     sum_pp, pairs_pp, sum_pm, pairs_pm = _bfs_distance_sums(
-        reverse(gr.out_csr()), src_idx, gr.n_people)
+        social.adjacency_csr(), src_idx, raters)
     both = pairs_pp + pairs_pm
     return PathLengthStats(
         l_pp=sum_pp / pairs_pp if pairs_pp else None,
@@ -369,6 +361,38 @@ def measure_l_r_l_pm(gr: RecommenderGraph, max_sources=None, seed=0) -> PathLeng
         sources=len(sources),
         sampled=sampled,
     )
+
+
+def measure_l_pp(gs: SocialGraph, max_sources=None, seed=0) -> PathLengthStats:
+    """Mean shortest-path length between ordered person pairs in the giant.
+
+    One bit-parallel BFS pass (see :func:`_bfs_distance_sums`) runs from
+    every giant-component person, or a seeded sample (see
+    :func:`_pick_sources`); self-pairs are excluded.  A social graph has no
+    movies, so ``l_pm`` and ``l_r`` are None and ``pairs_pm`` is 0.
+    """
+    report = connected_components(gs)
+    if len(report.giant_people) < 2:
+        raise UndefinedMetricError("l_pp needs a giant component with at least 2 people")
+    stats = _path_lengths(gs, _NO_RATERS, report.giant_people, max_sources, seed)
+    return replace(stats, l_r=None)
+
+
+def measure_l_r_l_pm(gr: RecommenderGraph, max_sources=None, seed=0) -> PathLengthStats:
+    """Directed means from giant-component people to people and to movies.
+
+    One bit-parallel BFS pass follows G_r's arcs: the social rows carry it
+    between people, and each movie is reached one hop past its nearest
+    rater but never spreads the search.  l_pp averages over reachable person
+    targets, l_pm over reachable movie targets, and l_r over their union, so
+    l_r * (pairs_pp + pairs_pm) == l_pp * pairs_pp + l_pm * pairs_pm.
+    Unreachable pairs are simply absent from the counts.
+    """
+    report = connected_components(gr)
+    if not report.giant_people:
+        raise UndefinedMetricError("l_r needs at least one person source in the giant")
+    return _path_lengths(gr.social, _rater_rows(gr.ratings), report.giant_people,
+                         max_sources, seed)
 
 
 # -- clustering --------------------------------------------------------------------

@@ -25,6 +25,11 @@ from recgraph import (
 )
 
 
+def social_edges(gs: SocialGraph) -> list:
+    """The (u, v) id pairs of a social graph's edges, u < v, in ascending order."""
+    return list(zip(gs.vertices[gs._eu].tolist(), gs.vertices[gs._ev].tolist()))
+
+
 # -- row-wise loading -----------------------------------------------------------
 
 
@@ -180,7 +185,7 @@ def joint_degree_loop(gr, people, movies) -> dict:
     """
     ratings = gr.ratings
     social_deg = {int(v): 0 for v in gr.social.vertices}
-    for u, v in gr.social.edge_ids():
+    for u, v in social_edges(gr.social):
         social_deg[u] += 1
         social_deg[v] += 1
     person_out = {int(p): 0 for p in people}
@@ -230,7 +235,7 @@ class UnionFind:
 def social_partition(gs: SocialGraph) -> set:
     """Person partition under social edges, as a set of frozensets."""
     uf = UnionFind(int(v) for v in gs.vertices)
-    for u, v in gs.edge_ids():
+    for u, v in social_edges(gs):
         uf.union(u, v)
     return uf.groups()
 
@@ -260,7 +265,7 @@ def rewire_oracle(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
     adj = {v: set(nbr_ids[csr.indptr[i]:csr.indptr[i + 1]]) for i, v in enumerate(ids)}
     degrees = np.array([len(adj[v]) for v in ids], dtype=np.int64)
     skipped = 0
-    for u, v in g.edge_ids():
+    for u, v in social_edges(g):
         if rng.random() >= p:
             continue
         target = None

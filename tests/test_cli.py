@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 import recgraph.cli
-from recgraph import BipartiteRatings, SynthConfig, generate_power_law_bipartite, metrics
+from recgraph import (
+    BipartiteRatings,
+    RecommenderGraph,
+    SynthConfig,
+    edges,
+    generate_power_law_bipartite,
+    jumps,
+    metrics,
+)
 from recgraph.cli import (
     DEFAULTS,
     RunConfig,
@@ -126,7 +134,7 @@ def test_sweep_l_pp_follows_social_giant_when_giants_differ():
 
 
 def test_sweep_analyses_each_width_once(monkeypatch):
-    calls = {"components": 0, "distances": 0}
+    calls = {"components": 0, "distances": 0, "rows": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -138,13 +146,23 @@ def test_sweep_analyses_each_width_once(monkeypatch):
                         counted("components", metrics.component_labels))
     monkeypatch.setattr(metrics, "_bfs_distance_sums",
                         counted("distances", metrics._bfs_distance_sums))
+    # the only CSR built per width is the social rows: G_r's arcs are never listed
+    rows = counted("rows", edges.csr)
+    monkeypatch.setattr(edges, "csr", rows)
+    monkeypatch.setattr(jumps, "csr", rows)
+
+    def no_out_csr(self):
+        raise AssertionError("sweep_rows listed G_r's arcs")
+
+    monkeypatch.setattr(RecommenderGraph, "out_csr", no_out_csr)
     g, _ = generate_power_law_bipartite(SynthConfig(n_people=30, n_movies=12, epsilon=0.5, seed=4))
     for w in (1, 2, 3):
-        calls.update(components=0, distances=0)
+        calls.update(components=0, distances=0, rows=0)
         (row,) = sweep_rows(g, w, w)
         assert row.components == 1
         assert calls["components"] == 1
         assert calls["distances"] == 1
+        assert calls["rows"] == 1
 
 
 # -- offline stand-in, end to end -------------------------------------------------
@@ -401,6 +419,16 @@ def test_synth_study_files_and_kappa_skip(tmp_path, capsys):
     assert linf[0] == "kappa,epsilon,linf_l_pp"
     assert linf[1].split(",")[0] == "6" and linf[1].split(",")[2] != ""
     assert linf[2] == "7,,"
+
+
+@pytest.mark.parametrize("size", [["--n-people", "0"], ["--n-people", "1"],
+                                  ["--n-movies", "0"]])
+def test_synth_study_that_cannot_run_exits_2(tmp_path, capsys, size):
+    assert main(["synth-study", *size, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "warning" not in captured.err
+    assert not list(tmp_path.iterdir())
 
 
 def test_synth_study_deterministic(tmp_path, capsys):

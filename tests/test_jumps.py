@@ -14,7 +14,7 @@ from recgraph import (
 from recgraph import jumps
 from recgraph.jumps import HAMMOCK, SKIP
 
-from oracles import hammock_edges_bruteforce, random_ratings
+from oracles import hammock_edges_bruteforce, random_ratings, social_edges
 
 
 def four_person_fixture():
@@ -64,7 +64,7 @@ def test_skip_equals_hammock_one():
         g = random_ratings(seed)
         a = apply_jump(g, JumpSpec.skip())
         b = apply_jump(g, JumpSpec.hammock(1))
-        assert set(a.edge_ids()) == set(b.edge_ids())
+        assert set(social_edges(a)) == set(social_edges(b))
 
 
 # -- SocialGraph ------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_social_graph_rejects_bad_edges():
 def test_subgraph_is_induced():
     gs = SocialGraph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4)])
     sub = gs.subgraph([1, 2, 3])
-    assert set(sub.edge_ids()) == {(1, 2), (2, 3)}
+    assert set(social_edges(sub)) == {(1, 2), (2, 3)}
     assert sub.n == 3
 
 
@@ -115,7 +115,7 @@ def test_hammock_equals_bruteforce_oracle():
         g = random_ratings(seed, max_people=30, max_movies=25)
         for w in (1, 2, 3, 5):
             gs = apply_jump(g, JumpSpec.hammock(w))
-            assert set(gs.edge_ids()) == hammock_edges_bruteforce(g, w), (
+            assert set(social_edges(gs)) == hammock_edges_bruteforce(g, w), (
                 f"seed {seed} width {w}")
 
 
@@ -124,7 +124,7 @@ def test_hammock_monotone_in_width():
         g = random_ratings(seed)
         prev = None
         for w in range(1, 6):
-            edges = set(apply_jump(g, JumpSpec.hammock(w)).edge_ids())
+            edges = set(social_edges(apply_jump(g, JumpSpec.hammock(w))))
             if prev is not None:
                 assert edges <= prev
             prev = edges
@@ -136,8 +136,8 @@ def test_precomputed_pairs_match():
         pairs = co_rating_pairs(g)
         for w in (1, 2, 3):
             spec = JumpSpec.hammock(w)
-            assert (set(apply_jump(g, spec, pairs).edge_ids())
-                    == set(apply_jump(g, spec).edge_ids()))
+            assert (set(social_edges(apply_jump(g, spec, pairs)))
+                    == set(social_edges(apply_jump(g, spec))))
 
 
 def test_co_rating_blocks_match_one_block(monkeypatch):
@@ -180,7 +180,7 @@ def test_two_step_reachability_is_composed_jumps():
 def test_four_person_fixture_edges():
     g = four_person_fixture()
     gs = apply_jump(g, JumpSpec.hammock(25))
-    assert set(gs.edge_ids()) == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)}
+    assert set(social_edges(gs)) == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)}
     assert len(gs.neighbors(1)) == 3
     assert len(gs.neighbors(4)) == 2
 

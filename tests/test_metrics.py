@@ -32,6 +32,7 @@ from oracles import (
     random_ratings,
     random_social,
     ratings_with_giant,
+    social_edges,
     social_partition,
 )
 
@@ -225,7 +226,7 @@ def test_l_pp_matches_floyd_warshall_oracle():
         gs = random_social(seed, max_n=45)
         ids = [int(v) for v in gs.vertices]
         index = {v: i for i, v in enumerate(ids)}
-        dist = floyd_warshall(len(ids), [(index[u], index[v]) for u, v in gs.edge_ids()],
+        dist = floyd_warshall(len(ids), [(index[u], index[v]) for u, v in social_edges(gs)],
                               directed=False)
         giant = sorted(index[v] for v in giant_people_oracle(gs))
         expected, count = mean_over_pairs(dist, giant, giant)
@@ -247,7 +248,7 @@ def recommender_distances(gr):
     pix = {p: i for i, p in enumerate(people)}
     mix = {m: len(people) + j for j, m in enumerate(movies)}
     arcs = []
-    for u, v in gr.social.edge_ids():
+    for u, v in social_edges(gr.social):
         arcs.append((pix[u], pix[v]))
         arcs.append((pix[v], pix[u]))
     for p, m in g.edge_ids():
@@ -297,7 +298,7 @@ def test_path_means_match_floyd_warshall_past_one_word(giant, block_bytes, monke
         gr = RecommenderGraph(g, gs)
         ids = [int(v) for v in gs.vertices]
         index = {v: i for i, v in enumerate(ids)}
-        social = floyd_warshall(len(ids), [(index[u], index[v]) for u, v in gs.edge_ids()],
+        social = floyd_warshall(len(ids), [(index[u], index[v]) for u, v in social_edges(gs)],
                                 directed=False)
         pix, directed = recommender_distances(gr)
         n_p, n_all = g.n_people, g.n_people + g.n_movies
@@ -355,6 +356,32 @@ def test_chain_fixture_all_means():
     assert abs(stats.l_pp - 4 / 3) < 1e-12
     assert abs(stats.l_pm - 4 / 3) < 1e-12
     assert abs(stats.l_r - 4 / 3) < 1e-12
+
+
+def test_path_stats_fields_per_graph_kind():
+    # a social graph has no movies: l_pm and l_r stay None and pairs_pm 0
+    _, gs, _ = chain_graph()
+    stats = measure_l_pp(gs)
+    assert (stats.l_pm, stats.l_r, stats.pairs_pm) == (None, None, 0)
+    assert (stats.pairs_pp, stats.sources, stats.sampled) == (6, 3, False)
+    # a giant whose people rate nothing reaches no movie, and l_r is still l_pp
+    g = BipartiteRatings([(3, 10)], people=[1, 2, 3])
+    gr = RecommenderGraph(g, SocialGraph([1, 2, 3], [(1, 2)]))
+    stats = measure_l_r_l_pm(gr)
+    assert (stats.l_pp, stats.l_pm, stats.l_r) == (1.0, None, 1.0)
+    assert (stats.pairs_pp, stats.pairs_pm, stats.sources) == (2, 0, 2)
+
+
+def test_rater_rows_list_each_movies_raters():
+    # tables with more people than movies and with more movies than people
+    for seed in range(40):
+        g = random_ratings(seed, max_people=6 + seed % 20, max_movies=26 - seed % 20)
+        rows = metrics._rater_rows(g)
+        assert len(rows.indptr) == g.n_movies + 1
+        for j, movie in enumerate(g.movies.tolist()):
+            listed = rows.indices[rows.indptr[j]:rows.indptr[j + 1]]
+            assert (np.diff(listed) > 0).all()
+            assert set(g.people[listed].tolist()) == g.people_of(movie)
 
 
 def test_l_pp_undefined_on_singleton_giant():
