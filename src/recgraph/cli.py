@@ -30,6 +30,7 @@ from .dataset import (
 from .errors import (
     ConfigError,
     DegenerateModelError,
+    FitError,
     InvalidDistributionError,
     RecgraphError,
     UndefinedMetricError,
@@ -193,7 +194,7 @@ def _validate(cfg: RunConfig):
         raise ConfigError("max sources must be at least 1")
     if cfg.mode not in REWIRE_MODES + ("both",):
         raise ConfigError(f"mode must be uniform, preferential, or both; got {cfg.mode!r}")
-    if any(p < 0 or p > 1 for p in cfg.p_values):
+    if not all(0 <= p <= 1 for p in cfg.p_values):  # NaN fails every comparison
         raise ConfigError("p values must lie in [0, 1]")
 
 
@@ -329,9 +330,13 @@ def cmd_stats(cfg: RunConfig) -> int:
     for rank, movie in enumerate(order.hit_rank[:10], 1):
         print(f"hit {rank}: movie {movie} ({mdeg[movie]} ratings)")
     degrees = [pdeg[p] for p in order.buff_rank]
-    fit = fit_power_law(degrees)
-    print(f"buff power law: alpha={csv_float(fit.alpha)} tau={csv_float(fit.tau)} "
-          f"residual={csv_float(fit.residual)}")
+    try:
+        fit = fit_power_law(degrees)
+    except FitError as exc:
+        print(f"buff power law: undefined ({exc})")
+    else:
+        print(f"buff power law: alpha={csv_float(fit.alpha)} tau={csv_float(fit.tau)} "
+              f"residual={csv_float(fit.residual)}")
     return 0
 
 

@@ -21,7 +21,7 @@ from itertools import filterfalse, repeat
 
 import numpy as np
 
-from .edges import component_labels
+from .edges import Csr, component_labels
 from .errors import (
     EmptyDatasetError,
     FitError,
@@ -61,6 +61,7 @@ class BipartiteRatings:
         keys = _unique(pi * self.n_movies + mi)
         self.duplicate_count = len(edges) - len(keys)
         self.edge_person_idx, self.edge_movie_idx = np.divmod(keys, max(self.n_movies, 1))
+        self._raters = None
 
     # -- basic shape ----------------------------------------------------
 
@@ -97,6 +98,16 @@ class BipartiteRatings:
     def movie_degrees(self) -> np.ndarray:
         """Rating counts aligned with ``self.movies``."""
         return np.bincount(self.edge_movie_idx, minlength=self.n_movies)
+
+    def rater_csr(self) -> Csr:
+        """Row j lists the people who rated movie j, ascending (cached); see ``edges.Csr``."""
+        if self._raters is None:
+            # the edges are in (person, movie) order, so a stable sort by movie keeps it
+            indptr = np.zeros(self.n_movies + 1, dtype=np.int64)
+            np.cumsum(self.movie_degrees(), out=indptr[1:])
+            order = np.argsort(self.edge_movie_idx, kind="stable")
+            self._raters = Csr(indptr, self.edge_person_idx[order])
+        return self._raters
 
     def edge_ids(self):
         """Iterate (person_id, movie_id) pairs in ascending order."""
@@ -302,15 +313,11 @@ def sparsity(g: BipartiteRatings) -> float:
     return (cells - g.edge_count) / cells
 
 
-def _bipartite_labels(g: BipartiteRatings) -> np.ndarray:
-    """Component labels (see ``edges.component_labels``) of people, then movies."""
-    return component_labels(g.n_people + g.n_movies, g.edge_person_idx,
-                            g.edge_movie_idx + g.n_people)
-
-
 def is_connected_bipartite(g: BipartiteRatings) -> bool:
     """True when one component spans every person and every movie."""
-    return not _bipartite_labels(g).any()
+    # labels number people, then movies; one component labels them all 0
+    return not component_labels(g.n_people + g.n_movies, g.edge_person_idx,
+                                g.edge_movie_idx + g.n_people).any()
 
 
 def bfs_reach_count(g: BipartiteRatings, start, depth, mode="person") -> int:

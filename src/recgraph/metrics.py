@@ -278,15 +278,6 @@ def _pick_sources(candidates, max_sources, seed):
     return sorted(rng.sample(ordered, count)), True
 
 
-def _rater_rows(ratings) -> Csr:
-    """Row j lists the people who rated movie j, ascending (see ``edges.Csr``)."""
-    # the edges are in (person, movie) order, so a stable sort by movie keeps it
-    indptr = np.zeros(ratings.n_movies + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ratings.edge_movie_idx, minlength=ratings.n_movies), out=indptr[1:])
-    order = np.argsort(ratings.edge_movie_idx, kind="stable")
-    return Csr(indptr, ratings.edge_person_idx[order])
-
-
 _NO_RATERS = Csr(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
@@ -391,7 +382,7 @@ def measure_l_r_l_pm(gr: RecommenderGraph, max_sources=None, seed=0) -> PathLeng
     report = connected_components(gr)
     if not report.giant_people:
         raise UndefinedMetricError("l_r needs at least one person source in the giant")
-    return _path_lengths(gr.social, _rater_rows(gr.ratings), report.giant_people,
+    return _path_lengths(gr.social, gr.ratings.rater_csr(), report.giant_people,
                          max_sources, seed)
 
 

@@ -4,9 +4,10 @@ The dataset generator hands person b (1-based, most active first) the first
 ceil(n_movies * b**-epsilon) movies, then re-points each initial rating, with
 probability rewire_threshold / rewire_outcomes, at a uniformly chosen movie
 the person has not rated.  Person 1 starts with every movie and can never be
-rewired away from one (there is no unseen target), so the bipartite graph
-stays connected; the repair pass exists for configurations that break that
-property by hand.
+rewired away from one (there is no unseen target), and a rewire keeps each
+person's rating count, so everyone with a rating shares person 1's
+component.  Only a person whose initial count underflows to zero stands
+apart; the repair hands each such person movie 1.
 
 All randomness flows through one stdlib Random stream per call, consumed in
 a documented order, so results are a pure function of (config, seed).
@@ -21,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dataset import BipartiteRatings, _bipartite_labels
+from .dataset import BipartiteRatings
 from .errors import UndefinedMetricError
 from .jumps import SocialGraph
 from .metrics import clustering_coefficient, connected_components, measure_l_pp
@@ -52,12 +53,11 @@ class SynthConfig:
     rewire_threshold: int = 2
     rewire_outcomes: int = 11
     seed: int | str = 0
-    repair_connectivity: bool = True
 
     def __post_init__(self):
         if self.n_people < 1 or self.n_movies < 1:
             raise ValueError("need at least one person and one movie")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # NaN fails this too
             raise ValueError("epsilon must be non-negative")
         if self.rewire_outcomes < 1 or not 0 <= self.rewire_threshold <= self.rewire_outcomes:
             raise ValueError("rewire threshold must lie within the outcome range")
@@ -85,67 +85,33 @@ def generate_power_law_bipartite(cfg: SynthConfig):
     """
     rng = random.Random(cfg.seed)
     diag = GenerationDiagnostics()
-    rated = {}
-    for b in range(1, cfg.n_people + 1):
-        d = initial_degree(b, cfg.epsilon, cfg.n_movies)
-        rated[b] = set(range(1, d + 1))
-    for b in range(1, cfg.n_people + 1):
-        d = initial_degree(b, cfg.epsilon, cfg.n_movies)
-        for movie in range(1, d + 1):
+    degrees = [initial_degree(b, cfg.epsilon, cfg.n_movies) for b in range(1, cfg.n_people + 1)]
+    rated = np.arange(cfg.n_movies) < np.array(degrees)[:, None]
+    for row, d in zip(rated, degrees):
+        for movie in range(d):
             if rng.randrange(cfg.rewire_outcomes) >= cfg.rewire_threshold:
                 continue
-            pool = [m for m in range(1, cfg.n_movies + 1) if m not in rated[b]]
-            if not pool:
+            pool = np.flatnonzero(~row)
+            if not len(pool):
                 diag.skipped_rewires += 1
                 continue
-            target = pool[rng.randrange(len(pool))]
-            rated[b].discard(movie)
-            rated[b].add(target)
+            row[movie] = False
+            row[pool[rng.randrange(len(pool))]] = True
 
-    if cfg.repair_connectivity:
-        diag.repair_edges = _repair_connectivity(rated, cfg.n_people, cfg.n_movies)
+    # Person 1 rates every movie and a rewire keeps each person's count, so
+    # everyone with a rating shares one component with all the movies; the
+    # only strays are people whose count underflowed to zero (epsilon past
+    # about 120 at 500 people), and movie 1 joins each of them exactly.
+    unrated = ~rated.any(axis=1)
+    rated[unrated, 0] = True
+    diag.repair_edges = int(unrated.sum())
 
-    pairs = [(b, m) for b in range(1, cfg.n_people + 1) for m in sorted(rated[b])]
     graph = BipartiteRatings(
-        pairs,
+        np.argwhere(rated) + 1,
         people=range(1, cfg.n_people + 1),
         movies=range(1, cfg.n_movies + 1),
     )
     return graph, diag
-
-
-def _repair_connectivity(rated, n_people, n_movies) -> int:
-    """Attach every non-giant component to movie 1; returns edges added.
-
-    The highest-degree person of each stray component (ties to the smaller
-    id) gains an edge to movie 1; people already rating movie 1 are passed
-    over in favor of the next candidate.
-    """
-    graph = BipartiteRatings(
-        ((b, m) for b in rated for m in rated[b]),
-        people=range(1, n_people + 1),
-        movies=range(1, n_movies + 1),
-    )
-    labels = _bipartite_labels(graph)
-    sizes = np.bincount(labels)
-    n_comp = len(sizes)
-    if n_comp <= 1:
-        return 0
-    people_per = np.bincount(labels[:graph.n_people], minlength=n_comp)
-    # giant pick: most vertices, then most people, then smallest first index
-    giant = min(range(n_comp), key=lambda c: (-int(sizes[c]), -int(people_per[c]), c))
-    added = 0
-    for comp in range(n_comp):
-        if comp == giant:
-            continue
-        members = [int(graph.people[i]) for i in range(graph.n_people) if labels[i] == comp]
-        members.sort(key=lambda b: (-len(rated[b]), b))
-        for b in members:
-            if 1 not in rated[b]:
-                rated[b].add(1)
-                added += 1
-                break
-    return added
 
 
 def calibrate_epsilon(kappa: int, n_people: int = 500, n_movies: int = 75) -> float:
@@ -305,7 +271,7 @@ class CurvePoint:
 
     p: float
     l_ratio: float
-    c_ratio: float
+    c_ratio: float | None
 
 
 def _giant_clustering(graph: SocialGraph) -> float:
@@ -321,7 +287,8 @@ def small_world_curve(cfg: WreathConfig, p_values, trials: int = 1):
     Every measurement runs on the giant component and is scaled by the
     untouched lattice's values; each (p, trial) pair rewires a fresh lattice
     with seed ``f"{cfg.seed}:{trial}:{p_index}"``.  Returns CurvePoints in
-    p_values order; p = 0 comes back as exactly (1.0, 1.0).
+    p_values order; p = 0 comes back as exactly (1.0, 1.0).  A lattice with
+    k = 2 has no clustering to scale by, so every c_ratio is then None.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -332,7 +299,7 @@ def small_world_curve(cfg: WreathConfig, p_values, trials: int = 1):
     for i, p in enumerate(p_values):
         if p == 0:
             # rewiring selects nothing at p = 0, so every trial is the lattice
-            points.append(CurvePoint(p=0.0, l_ratio=1.0, c_ratio=1.0))
+            points.append(CurvePoint(p=0.0, l_ratio=1.0, c_ratio=1.0 if base_c else None))
             continue
         l_total = 0.0
         c_total = 0.0
@@ -343,6 +310,6 @@ def small_world_curve(cfg: WreathConfig, p_values, trials: int = 1):
         points.append(CurvePoint(
             p=float(p),
             l_ratio=(l_total / trials) / base_l,
-            c_ratio=(c_total / trials) / base_c,
+            c_ratio=(c_total / trials) / base_c if base_c else None,
         ))
     return points

@@ -9,6 +9,7 @@ compare by type, and graphs are built through the validating constructors.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -318,6 +319,63 @@ def _oracle_preferential_target(rng, ids, pos, degrees, u, taken):
     index = int(np.searchsorted(cumulative, cut, side="right"))
     index = min(index, len(ids) - 1)
     return ids[index]
+
+
+# -- dict-of-sets rating generator ----------------------------------------------
+
+
+def generate_oracle(cfg):
+    """The set-per-person power-law generator with the general component repair.
+
+    Takes a SynthConfig and returns (graph, skipped_rewires, repair_edges):
+    the same draws as the package's generator, then every component other
+    than the giant gets movie 1 on its busiest member who lacks it.
+    """
+    rng = random.Random(cfg.seed)
+    people = range(1, cfg.n_people + 1)
+    movies = range(1, cfg.n_movies + 1)
+
+    def degree(b):
+        return min(cfg.n_movies, math.ceil(cfg.n_movies * float(b) ** -cfg.epsilon))
+
+    rated = {b: set(range(1, degree(b) + 1)) for b in people}
+    skipped = 0
+    for b in people:
+        for movie in range(1, degree(b) + 1):
+            if rng.randrange(cfg.rewire_outcomes) >= cfg.rewire_threshold:
+                continue
+            pool = [m for m in movies if m not in rated[b]]
+            if not pool:
+                skipped += 1
+                continue
+            target = pool[rng.randrange(len(pool))]
+            rated[b].discard(movie)
+            rated[b].add(target)
+
+    # vertices are numbered people first, then movies, as in a label array
+    uf = UnionFind([("p", b) for b in people] + [("m", m) for m in movies])
+    for b in people:
+        for m in rated[b]:
+            uf.union(("p", b), ("m", m))
+    index = {("p", b): b - 1 for b in people}
+    index.update({("m", m): cfg.n_people + m - 1 for m in movies})
+
+    def giant_key(group):
+        n_people = sum(1 for side, _ in group if side == "p")
+        return (-len(group), -n_people, min(index[x] for x in group))
+
+    groups = sorted(uf.groups(), key=giant_key)
+    repair = 0
+    for group in groups[1:]:
+        members = sorted((b for side, b in group if side == "p"),
+                         key=lambda b: (-len(rated[b]), b))
+        for b in members:
+            if 1 not in rated[b]:
+                rated[b].add(1)
+                repair += 1
+                break
+    pairs = [(b, m) for b in people for m in sorted(rated[b])]
+    return BipartiteRatings(pairs, people=people, movies=movies), skipped, repair
 
 
 # -- random instances ------------------------------------------------------------

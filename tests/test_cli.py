@@ -59,6 +59,15 @@ def test_stats_reports_shape_and_rankings(tmp_path, capsys):
     assert "buff power law: alpha=" in out
 
 
+def test_stats_fit_undefined_below_three_people(tmp_path, capsys):
+    path = tmp_path / "two.tsv"
+    write_tab(path, [(1, 1), (1, 2), (2, 1)])
+    assert main(["stats", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("buff power law: undefined (need at least 3 counts for a fit)\n")
+    assert captured.err == ""
+
+
 def test_stats_counts_duplicates(tmp_path, capsys):
     path = tmp_path / "dups.tsv"
     write_tab(path, [(1, 1), (1, 2), (2, 1), (3, 2), (1, 1)])
@@ -135,6 +144,7 @@ def test_sweep_l_pp_follows_social_giant_when_giants_differ():
 
 def test_sweep_analyses_each_width_once(monkeypatch):
     calls = {"components": 0, "distances": 0, "rows": 0}
+    raters = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -142,10 +152,15 @@ def test_sweep_analyses_each_width_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    bfs = metrics._bfs_distance_sums
+
+    def distances(social, src_idx, rater_rows):
+        raters.append(rater_rows)
+        return bfs(social, src_idx, rater_rows)
+
     monkeypatch.setattr(metrics, "component_labels",
                         counted("components", metrics.component_labels))
-    monkeypatch.setattr(metrics, "_bfs_distance_sums",
-                        counted("distances", metrics._bfs_distance_sums))
+    monkeypatch.setattr(metrics, "_bfs_distance_sums", counted("distances", distances))
     # the only CSR built per width is the social rows: G_r's arcs are never listed
     rows = counted("rows", edges.csr)
     monkeypatch.setattr(edges, "csr", rows)
@@ -163,6 +178,11 @@ def test_sweep_analyses_each_width_once(monkeypatch):
         assert calls["components"] == 1
         assert calls["distances"] == 1
         assert calls["rows"] == 1
+    # each movie's raters are listed once per dataset, not once per width
+    g, _ = generate_power_law_bipartite(SynthConfig(n_people=30, n_movies=12, epsilon=0.5, seed=5))
+    raters.clear()
+    assert len(sweep_rows(g, 1, 3)) == 3
+    assert len(raters) == 3 and all(rows is raters[0] for rows in raters)
 
 
 # -- offline stand-in, end to end -------------------------------------------------
@@ -388,9 +408,27 @@ def test_ws_single_mode(tmp_path, capsys):
     assert lines[1].endswith(",uniform")
 
 
-def test_ws_rejects_bad_p_values(capsys):
-    assert main(["ws", "--p-values", "0,banana"]) == 2
+def test_ws_rejects_bad_p_values(tmp_path, capsys):
+    for p_values in ("0,banana", "nan", "0,1.5"):
+        assert main(["ws", "--p-values", p_values]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    config = tmp_path / "ws.cfg"
+    config.write_text("p_values = 0,nan\n", encoding="utf-8")
+    assert main(["ws", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_ws_k2_ring_leaves_c_ratio_empty(tmp_path, capsys):
+    # a k=2 ring has no triangles, so clustering has no base to scale by
+    assert main(["ws", "--n", "20", "--k", "2", "--p-values", "0,0.5",
+                 "--out", str(tmp_path)]) == 0
     capsys.readouterr()
+    lines = (tmp_path / "ws.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "p,l_ratio,c_ratio,mode"
+    assert lines[1] == "0,1,,uniform"
+    p, l_ratio, c_ratio, mode = lines[2].split(",")
+    assert (p, c_ratio, mode) == ("0.5", "", "uniform")
+    assert float(l_ratio) > 0
 
 
 def test_ws_rejects_bad_lattice_shape(capsys):

@@ -376,7 +376,8 @@ def test_rater_rows_list_each_movies_raters():
     # tables with more people than movies and with more movies than people
     for seed in range(40):
         g = random_ratings(seed, max_people=6 + seed % 20, max_movies=26 - seed % 20)
-        rows = metrics._rater_rows(g)
+        rows = g.rater_csr()
+        assert g.rater_csr() is rows
         assert len(rows.indptr) == g.n_movies + 1
         for j, movie in enumerate(g.movies.tolist()):
             listed = rows.indices[rows.indptr[j]:rows.indptr[j + 1]]

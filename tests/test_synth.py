@@ -18,12 +18,11 @@ from recgraph import (
 from recgraph.synth import (
     PREFERENTIAL,
     UNIFORM,
-    _repair_connectivity,
     initial_degree,
     small_world_curve,
 )
 
-from oracles import random_social, rewire_oracle, social_edges
+from oracles import generate_oracle, random_social, rewire_oracle, social_edges
 
 
 # -- generator --------------------------------------------------------------------
@@ -34,6 +33,8 @@ def test_config_validation():
         SynthConfig(n_people=0)
     with pytest.raises(ValueError):
         SynthConfig(epsilon=-0.1)
+    with pytest.raises(ValueError):
+        SynthConfig(epsilon=math.nan)
     with pytest.raises(ValueError):
         SynthConfig(rewire_threshold=-1)
     with pytest.raises(ValueError):
@@ -124,22 +125,47 @@ def test_repair_pass_reports_zero_on_connected_output():
     assert diag.repair_edges == 0
 
 
-def test_repair_connectivity_attaches_stray_components():
-    rated = {1: {1, 2}, 2: {1}, 3: {3}, 4: {3, 4}}
-    added = _repair_connectivity(rated, n_people=4, n_movies=4)
-    assert added == 1
-    assert 1 in rated[4]  # higher-degree member of the stray component
-    from recgraph import BipartiteRatings, is_connected_bipartite
-    g = BipartiteRatings([(b, m) for b in rated for m in rated[b]],
-                         people=range(1, 5), movies=range(1, 5))
+def test_unrated_people_get_movie_one():
+    # at epsilon 130 the counts of the 192 least active people underflow to zero
+    cfg = SynthConfig(epsilon=130, seed=3)
+    unrated = [b for b in range(1, 501) if initial_degree(b, 130, 75) == 0]
+    assert len(unrated) == 192
+    g, diag = generate_power_law_bipartite(cfg)
+    assert diag.repair_edges == len(unrated)
+    for b in unrated:
+        assert g.movies_of(b) == frozenset({1})
+    from recgraph import is_connected_bipartite
     assert is_connected_bipartite(g)
 
 
-def test_repair_connectivity_multiple_strays():
-    rated = {1: {1}, 2: {2}, 3: {3}}
-    added = _repair_connectivity(rated, n_people=3, n_movies=3)
-    assert added == 2
-    assert rated[2] == {1, 2} and rated[3] == {1, 3}
+_ORACLE_GRID = [
+    # (n_people, n_movies, epsilon, rewire_threshold, rewire_outcomes)
+    (500, 75, 0.7, 2, 11),
+    (500, 75, 0.27, 5, 11),
+    (500, 75, 130, 2, 11),
+    (500, 75, 130, 11, 11),
+    (200, 30, 400, 1, 1),
+    (60, 25, 0.0, 0, 11),
+    (60, 25, 1.5, 11, 11),
+    (40, 12, 0.4, 1, 1),
+    (1, 1, 0.7, 11, 11),
+    (5, 1, 0.1, 11, 11),
+    (5, 1, 200, 2, 11),
+]
+
+
+@pytest.mark.parametrize("n_people,n_movies,epsilon,threshold,outcomes", _ORACLE_GRID)
+def test_generator_matches_dict_of_sets_oracle(n_people, n_movies, epsilon, threshold, outcomes):
+    for seed in (0, 7, "3:15:2"):
+        cfg = SynthConfig(n_people=n_people, n_movies=n_movies, epsilon=epsilon,
+                          rewire_threshold=threshold, rewire_outcomes=outcomes, seed=seed)
+        got, diag = generate_power_law_bipartite(cfg)
+        want, skipped, repair = generate_oracle(cfg)
+        for name in ("people", "movies", "edge_person_idx", "edge_movie_idx"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, cfg)
+        assert got.duplicate_count == want.duplicate_count
+        assert (diag.skipped_rewires, diag.repair_edges) == (skipped, repair), cfg
 
 
 # -- calibration -------------------------------------------------------------------
