@@ -10,8 +10,12 @@ recommender graph, each movie's raters: movies are sinks there, so a movie
 is one hop past its nearest rater and G_r's own arc rows are never built.
 Sources go in blocks sized so the gathered frontier bits stay within
 BFS_BLOCK_BYTES (or one word per arc, when that is more), which bounds
-memory however many sources run.  Above 5,000 giant people the source set
-is uniformly sampled (seeded) instead, and the result says so.
+memory however many sources run.  Each level pulls every row's frontier
+bits with one reduceat over the gathered arcs; a block of more than one
+word that runs past BFS_SLAB_LEVELS levels (a long search, such as a ring
+lattice's) switches to OR-reducing padded slabs of rows, which costs less
+per word but more to set up.  Above 5,000 giant people the source set is
+uniformly sampled (seeded) instead, and the result says so.
 
 Everything is numpy on the graphs' edge arrays.  Components come from one
 hook-and-compress labelling of the social edges (``edges.component_labels``),
@@ -39,7 +43,19 @@ DEFAULT_SAMPLED_SOURCES = 1000
 # at least one word.  Small blocks keep each level's gather near cache size:
 # on dense graphs one word per block ran fastest, while sparse lattices
 # (~50 levels) want all their sources in one block to pay each level once.
+# The slab pull gathers at most 1.5 times the arcs' words, one padded
+# length at a time.
 BFS_BLOCK_BYTES = 4 << 20
+# Levels a block runs with the reduceat pull before it switches to the slab
+# pull, an OR down axis 0 of a (padded length, rows, words) gather.  Only
+# blocks of more than one word switch.  On a 2-core x86 host, at 16 words a
+# level's slab pull took 0.24 against 0.45 ms on the n = 1000, k = 10 ring
+# lattice, and 5.5 against 31.5 ms on the width-18 social graph of the
+# ML-100k stand-in; at one word it lost there, 0.80 against 0.34 ms.
+# Building that graph's slabs took 15 ms, which a short search does not earn
+# back; every block of `sweep -w 1..30` on the stand-in and of the default
+# `synth-study` ends within four levels.
+BFS_SLAB_LEVELS = 8
 # Byte budget for the adjacency bitsets of one column range in the
 # clustering count, and for the bitsets of one block of edges gathered from
 # them; each holds at least one word per row.
@@ -292,6 +308,9 @@ def _bfs_distance_sums(social, src_idx, raters):
     ORs the frontier words of the people it lists, and the bits it had not
     yet seen are the (source, target) pairs at that distance.  Sources are
     visited at distance 0, so self-pairs never count, nor do unreachable pairs.
+    Past BFS_SLAB_LEVELS levels, a block of more than one word pulls through
+    slabs (see :func:`_slabs`), built once per call, into a second people
+    frontier; both pulls give the same frontier.
     """
     n_people, n_movies = len(social.indptr) - 1, len(raters.indptr) - 1
     # take() gathers fastest with native indices
@@ -306,22 +325,35 @@ def _bfs_distance_sums(social, src_idx, raters):
     movie_starts = raters.indptr[movie_rows]
     size = max(len(social_idx) + len(rater_idx), n_people + n_movies)
     words = max(1, BFS_BLOCK_BYTES // (8 * size))
+    movie_slabs = people_slabs = None
     sum_pp = pairs_pp = sum_pm = pairs_pm = 0
     for lo in range(0, len(src_idx), 64 * words):
         block = src_idx[lo:lo + 64 * words]
         col = np.arange(len(block))
-        people = np.zeros((n_people, -(-len(block) // 64)), dtype=np.uint64)
+        # one row past the people stays zero: the slab pull's padding
+        people = np.zeros((n_people + 1, -(-len(block) // 64)), dtype=np.uint64)
         people[block, col // 64] = np.left_shift(np.uint64(1), (col % 64).astype(np.uint64))
         seen_people = people.copy()
+        spare = np.zeros_like(people)  # the slab pull's second people frontier
         movies = np.zeros((n_movies, people.shape[1]), dtype=np.uint64)
         seen_movies = movies.copy()
         for d in itertools.count(1):
             # movies first: they pull from the people frontier of level d - 1
-            movies[movie_rows] = np.bitwise_or.reduceat(
-                np.take(people, rater_idx, axis=0), movie_starts)
+            if d > BFS_SLAB_LEVELS and people.shape[1] > 1:
+                if people_slabs is None:
+                    movie_slabs = _slabs(raters, n_people)
+                    people_slabs = _slabs(social, n_people)
+                _slab_pull(movies, people, movie_slabs)
+                # rows the pull skips keep an older frontier, whose bits are
+                # all seen, so the mask below clears them
+                _slab_pull(spare, people, people_slabs)
+                people, spare = spare, people
+            else:
+                movies[movie_rows] = np.bitwise_or.reduceat(
+                    np.take(people, rater_idx, axis=0), movie_starts)
+                people[people_rows] = np.bitwise_or.reduceat(
+                    np.take(people, social_idx, axis=0), people_starts)
             movies &= ~seen_movies
-            people[people_rows] = np.bitwise_or.reduceat(
-                np.take(people, social_idx, axis=0), people_starts)
             people &= ~seen_people
             pp = int(np.bitwise_count(people).sum(dtype=np.int64))
             pm = int(np.bitwise_count(movies).sum(dtype=np.int64))
@@ -334,6 +366,36 @@ def _bfs_distance_sums(social, src_idx, raters):
             seen_people |= people
             seen_movies |= movies
     return sum_pp, pairs_pp, sum_pm, pairs_pm
+
+
+def _slabs(rows, pad):
+    """The non-empty rows grouped by padded length: a list of (rows, slab).
+
+    A row's padded length is the smallest 2**k or 3 * 2**k that holds it,
+    so padding costs at most half as much again as the row.  Column r of a
+    group's (length, rows) slab lists row r's entries, then ``pad``.
+    """
+    lengths = np.diff(rows.indptr)
+    listed = np.flatnonzero(lengths)
+    if not len(listed):
+        return []
+    top = int(lengths.max()).bit_length()
+    sizes = np.array(sorted({s for k in range(top + 1) for s in (1 << k, 3 << k)}))
+    padded = sizes[np.searchsorted(sizes, lengths[listed])]
+    groups = []
+    for size in np.unique(padded).tolist():
+        members = listed[padded == size]
+        offset = np.arange(size)[:, None]
+        at = np.minimum(rows.indptr[members] + offset, len(rows.indices) - 1)
+        slab = np.where(offset < lengths[members], rows.indices[at], pad)
+        groups.append((members, slab.astype(np.intp)))
+    return groups
+
+
+def _slab_pull(dst, src, groups):
+    """Row r of dst becomes the OR of the src rows that row r lists."""
+    for members, slab in groups:
+        dst[members] = np.bitwise_or.reduce(np.take(src, slab, axis=0), axis=0)
 
 
 def _path_lengths(social, raters, giant_people, max_sources, seed) -> PathLengthStats:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -205,7 +206,7 @@ def rewire(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
     indptr = csr.indptr.tolist()
     nbrs = csr.indices.tolist()
     adj = [set(nbrs[indptr[i]:indptr[i + 1]]) for i in range(n)]
-    degrees = np.diff(csr.indptr).astype(np.int64)
+    degrees = _Fenwick(np.diff(csr.indptr).tolist()) if mode == PREFERENTIAL else None
     skipped = 0
     for u, v in zip(g._eu.tolist(), g._ev.tolist()):
         if rng.random() >= p:
@@ -221,8 +222,9 @@ def rewire(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
         adj[v].discard(u)
         adj[u].add(target)
         adj[target].add(u)
-        degrees[v] -= 1
-        degrees[target] += 1
+        if degrees is not None:
+            degrees.add(v, -1)
+            degrees.add(target, 1)
     rows = [sorted(b for b in row if b > a) for a, row in enumerate(adj)]
     eu = np.repeat(np.arange(n, dtype=np.int64), [len(row) for row in rows])
     ev = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(eu))
@@ -248,18 +250,77 @@ def _uniform_target(rng, n, u, taken):
     return pool[rng.randrange(len(pool))]
 
 
+class _Fenwick:
+    """Non-negative integer weights with O(log n) updates and prefix searches.
+
+    A binary indexed tree (Fenwick 1994): ``_tree[i]`` (1-based) holds the
+    sum of the ``i & -i`` weights ending at index i - 1.  ``values`` keeps
+    the weights themselves and ``total`` their sum.
+    """
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.total = sum(self.values)
+        n = len(self.values)
+        tree = [0, *self.values]
+        for i in range(1, n + 1):
+            j = i + (i & -i)
+            if j <= n:
+                tree[j] += tree[i]
+        self._tree = tree
+        self._top = 1 << n.bit_length() >> 1  # largest power of 2 <= n
+
+    def add(self, index, delta):
+        """Add delta to the weight at index."""
+        self.values[index] += delta
+        self.total += delta
+        tree, i, end = self._tree, index + 1, len(self._tree)
+        while i < end:
+            tree[i] += delta
+            i += i & -i
+
+    def first_above(self, x):
+        """Smallest index whose prefix sum (inclusive) exceeds x, else len(values)."""
+        tree, end, pos, step = self._tree, len(self._tree), 0, self._top
+        while step:
+            nxt = pos + step
+            if nxt < end and tree[nxt] <= x:
+                pos = nxt
+                x -= tree[nxt]
+            step >>= 1
+        return pos
+
+
 def _preferential_target(rng, degrees, u, taken):
-    """Degree-proportional choice among valid target indices (one uniform draw)."""
-    weights = degrees.astype(float)
-    weights[u] = 0.0
-    weights[list(taken)] = 0.0
-    total = float(weights.sum())
-    if total <= 0:
+    """Degree-proportional choice among valid target indices (one uniform draw).
+
+    ``degrees`` is a :class:`_Fenwick` of the current degrees.  The pick is
+    the index ``searchsorted(cumsum(w), cut, side="right")`` returns, clamped
+    to the last index, where ``w`` is the degrees with u and its neighbours
+    zeroed and ``cut = rng.random() * sum(w)``; None when ``sum(w)`` is 0.
+    Each prefix of ``w`` is an integer (exact as a float below 2**53), so
+    it exceeds ``cut`` exactly when it exceeds ``t = floor(cut)``.  The
+    prefix of ``w`` at i is the degree prefix at i minus skip(i), the
+    excluded degree at or before i, so the pick is the first i whose degree
+    prefix exceeds ``t + skip(i)``.  A descent with a skip no larger than
+    the pick's lands at or before the pick, at an index whose own skip is
+    at least the one used; repeating with that skip until it stops changing
+    ends at an index that meets the condition, which is the pick.
+    """
+    excluded = sorted(chain((u,), taken))
+    # skips[i]: the degree of the first i excluded vertices
+    skips = list(accumulate((degrees.values[x] for x in excluded), initial=0))
+    valid = degrees.total - skips[-1]
+    if valid <= 0:
         return None
-    cut = rng.random() * total
-    cumulative = np.cumsum(weights)
-    index = int(np.searchsorted(cumulative, cut, side="right"))
-    return min(index, len(degrees) - 1)
+    t = int(rng.random() * valid)
+    skip = 0
+    while True:
+        index = degrees.first_above(t + skip)
+        reached = skips[bisect_right(excluded, index)]
+        if reached == skip:
+            return min(index, len(degrees.values) - 1)
+        skip = reached
 
 
 # -- small-world curves --------------------------------------------------------------

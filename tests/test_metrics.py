@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -290,9 +291,12 @@ def test_path_means_match_floyd_warshall_past_one_word(giant, block_bytes, monke
     # budget leaves one word per block, so 65 or more sources run in blocks.
     # Isolated people, a group outside the giant, movies only outsiders rate
     # and unrated movies are never reached; max_sources takes the sampled path.
+    # With no slab levels every block of more than one word pulls through
+    # the padded slabs from its first level.
     if block_bytes is not None:
         monkeypatch.setattr(metrics, "BFS_BLOCK_BYTES", block_bytes)
-    for seed in range(2):
+    for seed, slab_levels in itertools.product(range(2), (metrics.BFS_SLAB_LEVELS, 0)):
+        monkeypatch.setattr(metrics, "BFS_SLAB_LEVELS", slab_levels)
         g = ratings_with_giant(seed, giant)
         gs = apply_jump(g, JumpSpec.skip())
         gr = RecommenderGraph(g, gs)
@@ -321,6 +325,19 @@ def test_path_means_match_floyd_warshall_past_one_word(giant, block_bytes, monke
             assert (stats.pairs_pp, stats.pairs_pm) == (n_pp, n_pm)
             assert (stats.l_pp, stats.l_pm, stats.l_r) == (exp_pp, exp_pm, exp_r)
             assert (stats.sources, stats.sampled) == (len(sources), sampled)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1])
+@pytest.mark.parametrize("n, k", [(65, 4), (130, 6), (1000, 10)])
+def test_ring_lattice_l_pp_closed_form(n, k, block_bytes, monkeypatch):
+    # r ring steps away takes ceil(r / (k/2)) hops; the default budget runs
+    # every source in one block of 2, 3 or 16 words, past the slab switch
+    # (16, 22 and 100 levels), and a 1-byte budget one word per block
+    if block_bytes is not None:
+        monkeypatch.setattr(metrics, "BFS_BLOCK_BYTES", block_bytes)
+    hops = sum(-(-min(r, n - r) // (k // 2)) for r in range(1, n))
+    stats = measure_l_pp(generate_wreath(n, k))
+    assert (stats.l_pp, stats.pairs_pp) == (hops / (n - 1), n * (n - 1))
 
 
 def test_mixture_identity_exact():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,11 +19,19 @@ from recgraph import (
 from recgraph.synth import (
     PREFERENTIAL,
     UNIFORM,
+    _Fenwick,
+    _preferential_target,
     initial_degree,
     small_world_curve,
 )
 
-from oracles import generate_oracle, random_social, rewire_oracle, social_edges
+from oracles import (
+    _oracle_preferential_target,
+    generate_oracle,
+    random_social,
+    rewire_oracle,
+    social_edges,
+)
 
 
 # -- generator --------------------------------------------------------------------
@@ -321,6 +330,61 @@ def test_rewire_matches_oracle_when_rejection_starves(mode, missing):
 @pytest.mark.parametrize("mode", [UNIFORM, PREFERENTIAL])
 def test_rewire_matches_oracle_when_every_edge_is_skipped(mode):
     _assert_rewire_matches_oracle(generate_wreath(5, 4), 1.0, mode, 1)
+
+
+class _FixedDraw:
+    """A random source whose random() always returns one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def _draw_both(make_rng, degrees, u, taken):
+    """(Fenwick pick, cumsum oracle pick), each from its own fresh rng."""
+    n = len(degrees)
+    got_rng, want_rng = make_rng(), make_rng()
+    got = _preferential_target(got_rng, _Fenwick(degrees), u, set(taken))
+    want = _oracle_preferential_target(want_rng, list(range(n)), {i: i for i in range(n)},
+                                       np.array(degrees, dtype=np.int64), u, set(taken))
+    if isinstance(got_rng, random.Random):
+        assert got_rng.getstate() == want_rng.getstate()
+    return got, want
+
+
+def test_preferential_draw_matches_cumsum_oracle():
+    # zero degrees, and u or its neighbours at either end of the index range
+    for seed in range(400):
+        r = random.Random(seed)
+        n = r.randint(2, 40)
+        degrees = [r.choice((0, 0, 1, 2, 3, 7, 20)) for _ in range(n)]
+        u = r.choice((0, n - 1, r.randrange(n)))
+        others = [x for x in range(n) if x != u]
+        taken = set(r.sample(others, r.randint(0, len(others))))
+        taken |= {x for x in (0, n - 1) if x != u and r.random() < 0.5}
+        got, want = _draw_both(lambda: random.Random(f"draw:{seed}"), degrees, u, taken)
+        assert got == want, (degrees, u, taken)
+
+
+def test_preferential_draw_none_when_everything_is_excluded():
+    for degrees, u, taken in (([2, 0, 3], 0, {2}), ([1, 1, 1, 1], 3, {0, 1, 2}),
+                              ([0, 0, 0], 1, set()), ([5], 0, set())):
+        got, want = _draw_both(lambda: random.Random(7), degrees, u, taken)
+        assert got is want is None
+
+
+def test_preferential_draw_on_cumulative_boundaries():
+    # u = 7 and taken = {2} leave weights 3, 0, 0, 2, 4, 7, 0, 0 summing to
+    # 16, so cut = value * 16 is exact and lands on the prefixes 3, 5 and 9;
+    # side="right" picks the next weighted index, a hair below the one before
+    degrees, u, taken = [3, 0, 5, 2, 4, 7, 0, 1], 7, {2}
+    cases = {0.0: 0, 3 / 16: 3, 5 / 16: 4, 9 / 16: 5, math.nextafter(1.0, 0.0): 5}
+    cases.update({math.nextafter(c / 16, 0.0): pick
+                  for c, pick in ((3, 0), (5, 3), (9, 4), (16, 5))})
+    for value, pick in cases.items():
+        assert _draw_both(lambda: _FixedDraw(value), degrees, u, taken) == (pick, pick), value
 
 
 def test_rewire_validation():
