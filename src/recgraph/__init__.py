@@ -3,17 +3,13 @@
 Induces social and recommender graphs from who-rated-what data via
 parameterized jumps, measures connectivity and characteristic path
 lengths, and compares them against random-graph predictions.
+
+The package re-exports what the README's library examples call, the
+exception types and ``__version__``.  Everything else lives in its module:
+``recgraph.dataset``, ``jumps``, ``metrics``, ``nsw`` and ``synth``.
 """
 
-from .dataset import (
-    BipartiteRatings,
-    bfs_reach_count,
-    fit_power_law,
-    is_connected_bipartite,
-    load_ratings,
-    reorder_hits_buffs,
-    sparsity,
-)
+from .dataset import load_ratings
 from .errors import (
     ConfigError,
     DegenerateModelError,
@@ -26,108 +22,35 @@ from .errors import (
     UndefinedMetricError,
     UnknownNodeError,
 )
-from .jumps import (
-    HAMMOCK,
-    SKIP,
-    JumpSpec,
-    RecommenderGraph,
-    SocialGraph,
-    apply_jump,
-    co_rating_pairs,
-)
-from .metrics import (
-    ComponentReport,
-    DegreeDistribution,
-    JointDegreeDistribution,
-    PathLengthStats,
-    clustering_coefficient,
-    connected_components,
-    degree_cdf,
-    degree_distribution,
-    joint_degree_distribution,
-    linf_discrepancy,
-    measure_l_pp,
-    measure_l_r_l_pm,
-)
-from .nsw import (
-    DirectedModelInput,
-    ModelMoments,
-    UndirectedModelInput,
-    moments_directed,
-    moments_undirected,
-    neighbors_at_distance,
-    predict_l_pm,
-    predict_l_pp,
-    predict_l_r,
-)
-from .synth import (
-    PREFERENTIAL,
-    UNIFORM,
-    SynthConfig,
-    WreathConfig,
-    calibrate_epsilon,
-    generate_power_law_bipartite,
-    generate_wreath,
-    rewire,
-    small_world_curve,
-)
+from .jumps import JumpSpec, RecommenderGraph, apply_jump
+from .metrics import joint_degree_distribution, measure_l_pp, measure_l_r_l_pm
+from .nsw import predict_l_r
+from .synth import SynthConfig, generate_power_law_bipartite, generate_wreath, rewire
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteRatings",
-    "ComponentReport",
     "ConfigError",
     "DegenerateModelError",
-    "DegreeDistribution",
-    "DirectedModelInput",
     "EmptyDatasetError",
     "FitError",
     "GraphMismatchError",
-    "HAMMOCK",
     "InvalidDistributionError",
-    "JointDegreeDistribution",
     "JumpSpec",
-    "ModelMoments",
     "ParseError",
-    "PathLengthStats",
-    "PREFERENTIAL",
     "RecgraphError",
     "RecommenderGraph",
-    "SKIP",
-    "SocialGraph",
     "SynthConfig",
     "UndefinedMetricError",
-    "UndirectedModelInput",
-    "UNIFORM",
     "UnknownNodeError",
-    "WreathConfig",
     "apply_jump",
-    "bfs_reach_count",
-    "calibrate_epsilon",
-    "clustering_coefficient",
-    "co_rating_pairs",
-    "connected_components",
-    "degree_cdf",
-    "degree_distribution",
-    "fit_power_law",
     "generate_power_law_bipartite",
     "generate_wreath",
-    "is_connected_bipartite",
     "joint_degree_distribution",
-    "linf_discrepancy",
     "load_ratings",
     "measure_l_pp",
     "measure_l_r_l_pm",
-    "moments_directed",
-    "moments_undirected",
-    "neighbors_at_distance",
-    "predict_l_pm",
-    "predict_l_pp",
     "predict_l_r",
-    "reorder_hits_buffs",
     "rewire",
-    "small_world_curve",
-    "sparsity",
     "__version__",
 ]

@@ -47,7 +47,7 @@ from .metrics import (
     measure_l_pp,
     measure_l_r_l_pm,
 )
-from .nsw import DirectedModelInput, UndirectedModelInput, predict_l_pm, predict_l_pp, predict_l_r
+from .nsw import predict_l_pm, predict_l_pp, predict_l_r
 from .synth import (
     REWIRE_MODES,
     SynthConfig,
@@ -264,15 +264,11 @@ def sweep_rows(g, w_min, w_max, max_sources=None, seed=0, warn=None):
 
         l_pp_p = l_r_p = l_pm_p = None
         try:
-            dist = degree_distribution(gs, largest_only=True)
-            if dist.n >= 2:
-                l_pp_p = predict_l_pp(UndirectedModelInput(dist, dist.n))
+            l_pp_p = predict_l_pp(degree_distribution(gs, largest_only=True))
         except (DegenerateModelError, InvalidDistributionError, UndefinedMetricError):
             pass
         try:
-            if n_gp >= 1 and n_gp + n_gm >= 2:
-                joint = joint_degree_distribution(gr, largest_only=True)
-                l_r_p = predict_l_r(DirectedModelInput(joint, n_gp, n_gm))
+            l_r_p = predict_l_r(joint_degree_distribution(gr, largest_only=True))
         except (DegenerateModelError, InvalidDistributionError, UndefinedMetricError):
             pass
         if l_r_p is not None and l_pp_p is not None and n_gm >= 1 and n_gp >= 2:

@@ -83,14 +83,6 @@ class BipartiteRatings:
 
     # -- lookups ---------------------------------------------------------
 
-    def movies_of(self, person) -> frozenset:
-        i = _index_of(self.people, person, "person")
-        return frozenset(self.movies[self.edge_movie_idx[self.edge_person_idx == i]].tolist())
-
-    def people_of(self, movie) -> frozenset:
-        j = _index_of(self.movies, movie, "movie")
-        return frozenset(self.people[self.edge_person_idx[self.edge_movie_idx == j]].tolist())
-
     def person_degrees(self) -> np.ndarray:
         """Rating counts aligned with ``self.people``."""
         return np.bincount(self.edge_person_idx, minlength=self.n_people)
@@ -108,19 +100,6 @@ class BipartiteRatings:
             order = np.argsort(self.edge_movie_idx, kind="stable")
             self._raters = Csr(indptr, self.edge_person_idx[order])
         return self._raters
-
-    def edge_ids(self):
-        """Iterate (person_id, movie_id) pairs in ascending order."""
-        for pi, mi in zip(self.edge_person_idx, self.edge_movie_idx):
-            yield int(self.people[pi]), int(self.movies[mi])
-
-    # -- export ----------------------------------------------------------
-
-    def export_movielens_tab(self, path):
-        """Write the edges in the tab-separated format (rating 1, timestamp 0)."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for p, m in self.edge_ids():
-                fh.write(f"{p}\t{m}\t1\t0\n")
 
 
 def _index_of(ids, value, side) -> int:
@@ -320,46 +299,32 @@ def is_connected_bipartite(g: BipartiteRatings) -> bool:
                                 g.edge_movie_idx + g.n_people).any()
 
 
-def bfs_reach_count(g: BipartiteRatings, start, depth, mode="person") -> int:
-    """Vertices within ``depth`` hops of a start vertex, the start included.
+def bfs_reach_count(g: BipartiteRatings, person, depth) -> int:
+    """Vertices within ``depth`` hops of a person, the person included.
 
-    The graph is bipartite, so hop parity alternates sides: from a person,
-    depth 1 adds their movies, depth 2 adds co-raters, and so on.
+    The graph is bipartite, so hop parity alternates sides: depth 1 adds
+    the person's movies, depth 2 adds co-raters, and so on.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    if mode == "person":
-        frontier = np.zeros(g.n_people, dtype=bool)
-        frontier[_index_of(g.people, start, "person")] = True
-        person_side = True
-    elif mode == "movie":
-        frontier = np.zeros(g.n_movies, dtype=bool)
-        frontier[_index_of(g.movies, start, "movie")] = True
-        person_side = False
-    else:
-        raise ValueError(f"mode must be 'person' or 'movie', got {mode!r}")
-
     pi, mi = g.edge_person_idx, g.edge_movie_idx
     seen_p = np.zeros(g.n_people, dtype=bool)
     seen_m = np.zeros(g.n_movies, dtype=bool)
-    if person_side:
-        seen_p |= frontier
-    else:
-        seen_m |= frontier
-    for _ in range(depth):
+    seen_p[_index_of(g.people, person, "person")] = True
+    frontier = seen_p.copy()
+    for step in range(depth):
         if not frontier.any():
             break
-        if person_side:
+        if step % 2 == 0:  # people -> movies
             reached = np.zeros(g.n_movies, dtype=bool)
             reached[mi[frontier[pi]]] = True
             frontier = reached & ~seen_m
             seen_m |= frontier
-        else:
+        else:  # movies -> people
             reached = np.zeros(g.n_people, dtype=bool)
             reached[pi[frontier[mi]]] = True
             frontier = reached & ~seen_p
             seen_p |= frontier
-        person_side = not person_side
     return int(seen_p.sum() + seen_m.sum())
 
 
@@ -398,19 +363,19 @@ def reorder_hits_buffs(g: BipartiteRatings) -> HitsBuffsOrdering:
 class PowerLawFit:
     """Least-squares fit of counts to C * rank**-alpha * exp(-rank / tau).
 
-    ``tau`` is None when the fit was run without the exponential cutoff term.
-    With the term active, tau comes back as the negative reciprocal of the
-    rank coefficient; it is positive when the data actually decays.
+    tau comes back as the negative reciprocal of the rank coefficient; it
+    is positive when the data actually decays, and infinite when the
+    coefficient is exactly zero.
     """
 
     alpha: float
-    tau: float | None
+    tau: float
     intercept: float
     residual: float
 
 
-def fit_power_law(counts, with_cutoff=True) -> PowerLawFit:
-    """Fit a rank-ordered count sequence to a power law with optional cutoff.
+def fit_power_law(counts) -> PowerLawFit:
+    """Fit a rank-ordered count sequence to a power law with exponential cutoff.
 
     Works in log space: log y = intercept - alpha * log b - b / tau over
     ranks b = 1..len(counts).  Zero or negative counts make the log
@@ -422,16 +387,11 @@ def fit_power_law(counts, with_cutoff=True) -> PowerLawFit:
     if np.any(y <= 0):
         raise FitError("counts must be positive (log undefined at zero)")
     b = np.arange(1, len(y) + 1, dtype=float)
-    cols = [np.ones_like(b), np.log(b)]
-    if with_cutoff:
-        cols.append(b)
-    x = np.column_stack(cols)
+    x = np.column_stack([np.ones_like(b), np.log(b), b])
     target = np.log(y)
     coef, _, _, _ = np.linalg.lstsq(x, target, rcond=None)
     residual = float(np.sum((x @ coef - target) ** 2))
     alpha = -float(coef[1])
-    tau = None
-    if with_cutoff:
-        slope = float(coef[2])
-        tau = math.inf if slope == 0.0 else -1.0 / slope
+    slope = float(coef[2])
+    tau = math.inf if slope == 0.0 else -1.0 / slope
     return PowerLawFit(alpha=alpha, tau=tau, intercept=float(coef[0]), residual=residual)

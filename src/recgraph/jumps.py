@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import BipartiteRatings, _index_of
+from .dataset import BipartiteRatings
 from .edges import csr
 from .errors import GraphMismatchError, UnknownNodeError
 
@@ -115,11 +115,6 @@ class SocialGraph:
         """Degree per vertex, aligned with ``self.vertices``."""
         both = np.concatenate([self._eu, self._ev])
         return np.bincount(both, minlength=self.n)
-
-    def neighbors(self, vertex) -> frozenset:
-        i = _index_of(self.vertices, vertex, "vertex")
-        rows = self.adjacency_csr()
-        return frozenset(self.vertices[rows.indices[rows.indptr[i]:rows.indptr[i + 1]]].tolist())
 
     def adjacency_csr(self):
         """Symmetric adjacency rows over vertex indices (cached); see ``edges.Csr``."""

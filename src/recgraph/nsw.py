@@ -3,7 +3,8 @@
 Given only a degree distribution (undirected case) or a joint in/out-degree
 distribution (directed case), estimate the first and second neighborhood
 sizes z1 and z2 of a typical vertex, grow them geometrically, and solve for
-the path length at which the neighborhood would cover the graph:
+the path length at which the neighborhood would cover the N vertices
+the distribution counts:
 
     l = (log[(N - 1)(z2 - z1) + z1^2] - log[z1^2]) / log[z2 / z1]
 
@@ -31,33 +32,6 @@ class ModelMoments:
     z2: float
 
 
-@dataclass(frozen=True)
-class UndirectedModelInput:
-    """Degree distribution plus the person count to predict against."""
-
-    distribution: DegreeDistribution
-    n_people: int
-
-    def __post_init__(self):
-        if self.n_people < 2:
-            raise InvalidDistributionError("need at least 2 people to predict a length")
-
-
-@dataclass(frozen=True)
-class DirectedModelInput:
-    """Joint degree distribution plus the person and movie counts."""
-
-    distribution: JointDegreeDistribution
-    n_people: int
-    n_movies: int
-
-    def __post_init__(self):
-        if self.n_people < 1 or self.n_movies < 0:
-            raise InvalidDistributionError("need people (and a movie count) to predict against")
-        if self.n_people + self.n_movies < 2:
-            raise InvalidDistributionError("need at least 2 vertices to predict a length")
-
-
 def moments_undirected(dist: DegreeDistribution) -> ModelMoments:
     """z1 = sum k p_k, z2 = sum k (k - 1) p_k."""
     z1 = sum(k * p for k, p in dist.probabilities.items())
@@ -80,16 +54,9 @@ def moments_directed(joint: JointDegreeDistribution) -> ModelMoments:
     return ModelMoments(z1=z1, z2=z2)
 
 
-def neighbors_at_distance(moments: ModelMoments, m: int) -> float:
-    """Expected vertices exactly m steps out: z_m = (z2 / z1)**(m - 1) * z1."""
-    if m < 1:
-        raise ValueError("distance must be a positive integer")
-    if moments.z1 <= 0:
-        raise DegenerateModelError("no edges: z1 = 0")
-    return (moments.z2 / moments.z1) ** (m - 1) * moments.z1
-
-
 def _predict_length(n: int, moments: ModelMoments) -> float:
+    if n < 2:
+        raise InvalidDistributionError("need at least 2 vertices to predict a length")
     if moments.z1 <= 0:
         raise DegenerateModelError("no edges: z1 = 0")
     if moments.z2 <= moments.z1:
@@ -101,15 +68,14 @@ def _predict_length(n: int, moments: ModelMoments) -> float:
     return math.log(((n - 1) * (z2 - z1) + z1 * z1) / (z1 * z1)) / math.log(z2 / z1)
 
 
-def predict_l_pp(inp: UndirectedModelInput) -> float:
-    """Model mean person-person path length for a graph with N_P people."""
-    return _predict_length(inp.n_people, moments_undirected(inp.distribution))
+def predict_l_pp(dist: DegreeDistribution) -> float:
+    """Model mean person-person path length over the ``dist.n`` people of ``dist``."""
+    return _predict_length(dist.n, moments_undirected(dist))
 
 
-def predict_l_r(inp: DirectedModelInput) -> float:
-    """Model mean path length over the whole recommender graph (people + movies)."""
-    return _predict_length(inp.n_people + inp.n_movies,
-                           moments_directed(inp.distribution))
+def predict_l_r(joint: JointDegreeDistribution) -> float:
+    """Model mean path length over the ``joint.n`` people and movies of ``joint``."""
+    return _predict_length(joint.n, moments_directed(joint))
 
 
 def predict_l_pm(l_r: float, l_pp: float, n_people: int, n_movies: int) -> float:

@@ -2,10 +2,10 @@
 
 The dataset generator hands person b (1-based, most active first) the first
 ceil(n_movies * b**-epsilon) movies, then re-points each initial rating, with
-probability rewire_threshold / rewire_outcomes, at a uniformly chosen movie
-the person has not rated.  Person 1 starts with every movie and can never be
-rewired away from one (there is no unseen target), and a rewire keeps each
-person's rating count, so everyone with a rating shares person 1's
+probability REWIRE_THRESHOLD / REWIRE_OUTCOMES (2/11), at a uniformly chosen
+movie the person has not rated.  Person 1 starts with every movie and can
+never be rewired away from one (there is no unseen target), and a rewire
+keeps each person's rating count, so everyone with a rating shares person 1's
 component.  Only a person whose initial count underflows to zero stands
 apart; the repair hands each such person movie 1.
 
@@ -38,21 +38,23 @@ _REJECTION_CAP = 64
 
 # -- power-law bipartite generator --------------------------------------------
 
+# A generated rating is rewired when a uniform draw from range(REWIRE_OUTCOMES)
+# falls below REWIRE_THRESHOLD.
+REWIRE_THRESHOLD = 2
+REWIRE_OUTCOMES = 11
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     """Parameters for the synthetic rating dataset generator.
 
-    ``rewire_threshold`` out of ``rewire_outcomes`` equally likely integer
-    draws trigger a rewire (defaults: 2 of 11).  ``seed`` may be an int or a
-    string; it feeds a single stdlib Random stream.
+    ``seed`` may be an int or a string; it feeds a single stdlib Random
+    stream.
     """
 
     n_people: int = 500
     n_movies: int = 75
     epsilon: float = 0.7
-    rewire_threshold: int = 2
-    rewire_outcomes: int = 11
     seed: int | str = 0
 
     def __post_init__(self):
@@ -60,8 +62,6 @@ class SynthConfig:
             raise ValueError("need at least one person and one movie")
         if not self.epsilon >= 0:  # NaN fails this too
             raise ValueError("epsilon must be non-negative")
-        if self.rewire_outcomes < 1 or not 0 <= self.rewire_threshold <= self.rewire_outcomes:
-            raise ValueError("rewire threshold must lie within the outcome range")
 
 
 @dataclass
@@ -90,7 +90,7 @@ def generate_power_law_bipartite(cfg: SynthConfig):
     rated = np.arange(cfg.n_movies) < np.array(degrees)[:, None]
     for row, d in zip(rated, degrees):
         for movie in range(d):
-            if rng.randrange(cfg.rewire_outcomes) >= cfg.rewire_threshold:
+            if rng.randrange(REWIRE_OUTCOMES) >= REWIRE_THRESHOLD:
                 continue
             pool = np.flatnonzero(~row)
             if not len(pool):

@@ -3,8 +3,10 @@
 Everything here is deliberately written the slow, obvious way (row-by-row
 parsing, set-based dedupe, set intersections, dense Floyd-Warshall,
 pointer-chasing union-find, id-keyed rewiring) and shares no code with the
-package under test; only its exception types are imported, so that errors
-compare by type, and graphs are built through the validating constructors.
+package under test; only its exception types, mode names and the
+generator's rewire odds are imported, so that errors compare by type, and
+graphs are built through the validating constructors.  Tests read graphs
+through the edge-array helpers at the top rather than package lookups.
 """
 
 from __future__ import annotations
@@ -15,20 +17,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from recgraph import (
-    PREFERENTIAL,
-    UNIFORM,
-    BipartiteRatings,
-    EmptyDatasetError,
-    ParseError,
-    SocialGraph,
-    UnknownNodeError,
-)
+from recgraph import EmptyDatasetError, ParseError, UnknownNodeError, synth
+from recgraph.dataset import BipartiteRatings
+from recgraph.jumps import SocialGraph
+from recgraph.synth import PREFERENTIAL, UNIFORM
+
+
+# -- reading graphs through their edge arrays ------------------------------------
 
 
 def social_edges(gs: SocialGraph) -> list:
     """The (u, v) id pairs of a social graph's edges, u < v, in ascending order."""
     return list(zip(gs.vertices[gs._eu].tolist(), gs.vertices[gs._ev].tolist()))
+
+
+def adjacency(gs: SocialGraph) -> dict:
+    """Vertex id -> set of neighbour ids, every vertex listed."""
+    adj = {int(v): set() for v in gs.vertices}
+    for u, v in social_edges(gs):
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def edge_ids(g: BipartiteRatings) -> list:
+    """The (person, movie) id pairs of a rating graph's edges, in ascending order."""
+    return list(zip(g.people[g.edge_person_idx].tolist(), g.movies[g.edge_movie_idx].tolist()))
+
+
+def movies_by_person(g: BipartiteRatings) -> dict:
+    """Person id -> set of rated movie ids, every person listed."""
+    rated = {int(p): set() for p in g.people}
+    for p, m in edge_ids(g):
+        rated[p].add(m)
+    return rated
+
+
+def people_by_movie(g: BipartiteRatings) -> dict:
+    """Movie id -> set of rater ids, every movie listed."""
+    raters = {int(m): set() for m in g.movies}
+    for p, m in edge_ids(g):
+        raters[m].add(p)
+    return raters
+
+
+def write_movielens_tab(g: BipartiteRatings, path):
+    """Write the edges as tab-separated rows ``person movie 1 0``, in ascending order."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"{p}\t{m}\t1\t0\n" for p, m in edge_ids(g))
 
 
 # -- row-wise loading -----------------------------------------------------------
@@ -122,8 +158,7 @@ def load_movielens_tab_oracle(path) -> OracleRatings:
 
 def ratings_of(g: BipartiteRatings) -> OracleRatings:
     """The same view of a package-built graph."""
-    return OracleRatings(g.people.tolist(), g.movies.tolist(), list(g.edge_ids()),
-                         g.duplicate_count)
+    return OracleRatings(g.people.tolist(), g.movies.tolist(), edge_ids(g), g.duplicate_count)
 
 
 # -- brute-force hammock -------------------------------------------------------
@@ -131,9 +166,7 @@ def ratings_of(g: BipartiteRatings) -> OracleRatings:
 
 def hammock_edges_bruteforce(g: BipartiteRatings, width: int) -> set:
     """All person pairs sharing at least ``width`` movies, by set intersection."""
-    movies_of = {int(p): set() for p in g.people}
-    for pi, mi in zip(g.edge_person_idx, g.edge_movie_idx):
-        movies_of[int(g.people[pi])].add(int(g.movies[mi]))
+    movies_of = movies_by_person(g)
     people = sorted(movies_of)
     edges = set()
     for i, u in enumerate(people):
@@ -328,8 +361,10 @@ def generate_oracle(cfg):
     """The set-per-person power-law generator with the general component repair.
 
     Takes a SynthConfig and returns (graph, skipped_rewires, repair_edges):
-    the same draws as the package's generator, then every component other
-    than the giant gets movie 1 on its busiest member who lacks it.
+    the same draws as the package's generator, at the rewire odds read from
+    ``synth.REWIRE_THRESHOLD`` / ``synth.REWIRE_OUTCOMES`` when called, then
+    every component other than the giant gets movie 1 on its busiest member
+    who lacks it.
     """
     rng = random.Random(cfg.seed)
     people = range(1, cfg.n_people + 1)
@@ -342,7 +377,7 @@ def generate_oracle(cfg):
     skipped = 0
     for b in people:
         for movie in range(1, degree(b) + 1):
-            if rng.randrange(cfg.rewire_outcomes) >= cfg.rewire_threshold:
+            if rng.randrange(synth.REWIRE_OUTCOMES) >= synth.REWIRE_THRESHOLD:
                 continue
             pool = [m for m in movies if m not in rated[b]]
             if not pool:

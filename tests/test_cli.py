@@ -8,7 +8,6 @@ import pytest
 
 import recgraph.cli
 from recgraph import (
-    BipartiteRatings,
     RecommenderGraph,
     SynthConfig,
     edges,
@@ -16,6 +15,7 @@ from recgraph import (
     jumps,
     metrics,
 )
+from recgraph.dataset import BipartiteRatings
 from recgraph.cli import (
     DEFAULTS,
     RunConfig,
@@ -26,7 +26,7 @@ from recgraph.cli import (
     sweep_rows,
 )
 
-from oracles import load_movielens_tab_oracle
+from oracles import load_movielens_tab_oracle, write_movielens_tab
 
 
 def write_tab(path, rows):
@@ -38,7 +38,7 @@ def synth_file(tmp_path, **kwargs):
                          "seed": 4, **kwargs})
     g, _ = generate_power_law_bipartite(cfg)
     path = tmp_path / "ratings.tsv"
-    g.export_movielens_tab(path)
+    write_movielens_tab(g, path)
     return g, path
 
 

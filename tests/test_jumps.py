@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 
 from recgraph import (
-    BipartiteRatings,
     GraphMismatchError,
     JumpSpec,
     RecommenderGraph,
-    SocialGraph,
     UnknownNodeError,
     apply_jump,
-    co_rating_pairs,
 )
 from recgraph import jumps
-from recgraph.jumps import HAMMOCK, SKIP
+from recgraph.dataset import BipartiteRatings
+from recgraph.jumps import HAMMOCK, SKIP, SocialGraph, co_rating_pairs
 
-from oracles import hammock_edges_bruteforce, random_ratings, social_edges
+from oracles import adjacency, hammock_edges_bruteforce, random_ratings, social_edges
 
 
 def four_person_fixture():
@@ -74,12 +72,7 @@ def test_social_graph_basics():
     gs = SocialGraph([1, 2, 3], [(1, 2), (2, 1), (2, 3)])
     assert gs.n == 3
     assert gs.edge_count == 2  # (1,2) deduplicated across orientations
-    assert gs.neighbors(1) == frozenset({2})
-    assert gs.neighbors(2) == frozenset({1, 3})
-    assert gs.neighbors(3) == frozenset({2})
-    for missing in (0, 4):
-        with pytest.raises(UnknownNodeError):
-            gs.neighbors(missing)
+    assert adjacency(gs) == {1: {2}, 2: {1, 3}, 3: {2}}
 
 
 def test_social_graph_rejects_bad_edges():
@@ -103,9 +96,9 @@ def test_threshold_semantics():
     g = BipartiteRatings([(1, 10), (1, 11), (1, 12), (2, 10), (2, 11), (2, 12)])
     for w in (1, 2, 3):
         gs = apply_jump(g, JumpSpec.hammock(w))
-        assert gs.neighbors(1) == frozenset({2})
+        assert adjacency(gs)[1] == {2}
     gs4 = apply_jump(g, JumpSpec.hammock(4))
-    assert gs4.neighbors(1) == frozenset()
+    assert adjacency(gs4)[1] == set()
     assert gs4.n == 2  # isolated people stay
 
 
@@ -167,7 +160,7 @@ def test_two_step_reachability_is_composed_jumps():
         g = random_ratings(seed)
         gs = apply_jump(g, JumpSpec.skip())
         people = [int(p) for p in g.people]
-        nbrs = {p: gs.neighbors(p) for p in people}
+        nbrs = adjacency(gs)
         for i, u in enumerate(people):
             for v in people[i + 1:]:
                 via = any(x in nbrs[u] and v in nbrs[x]
@@ -181,8 +174,9 @@ def test_four_person_fixture_edges():
     g = four_person_fixture()
     gs = apply_jump(g, JumpSpec.hammock(25))
     assert set(social_edges(gs)) == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)}
-    assert len(gs.neighbors(1)) == 3
-    assert len(gs.neighbors(4)) == 2
+    adj = adjacency(gs)
+    assert len(adj[1]) == 3
+    assert len(adj[4]) == 2
 
 
 # -- recommender graph ---------------------------------------------------------------

@@ -5,31 +5,38 @@ import numpy as np
 import pytest
 
 from recgraph import (
-    BipartiteRatings,
-    DegreeDistribution,
     JumpSpec,
     RecommenderGraph,
-    SocialGraph,
     UndefinedMetricError,
     apply_jump,
-    clustering_coefficient,
-    connected_components,
-    degree_cdf,
-    degree_distribution,
     generate_wreath,
     joint_degree_distribution,
-    linf_discrepancy,
     measure_l_pp,
     measure_l_r_l_pm,
 )
 from recgraph import metrics
-from recgraph.metrics import _pick_sources, csv_float, degree_cdf_csv
+from recgraph.dataset import BipartiteRatings
+from recgraph.jumps import SocialGraph
+from recgraph.metrics import (
+    DegreeDistribution,
+    _pick_sources,
+    clustering_coefficient,
+    connected_components,
+    csv_float,
+    degree_cdf,
+    degree_cdf_csv,
+    degree_distribution,
+    linf_discrepancy,
+)
 
 from oracles import (
+    adjacency,
+    edge_ids,
     floyd_warshall,
     giant_people_oracle,
     joint_degree_loop,
     mean_over_pairs,
+    people_by_movie,
     random_ratings,
     random_social,
     ratings_with_giant,
@@ -59,7 +66,7 @@ def test_partition_matches_union_find_oracle():
         assert sorted(sizes, reverse=True) == sorted(
             (len(grp) for grp in expected), reverse=True), f"seed {seed}"
         assert sum(sizes) == gs.n
-        lonely = sum(1 for v in gs.vertices if not gs.neighbors(int(v)))
+        lonely = sum(1 for nbrs in adjacency(gs).values() if not nbrs)
         assert report.isolated_people == lonely
 
 
@@ -252,7 +259,7 @@ def recommender_distances(gr):
     for u, v in social_edges(gr.social):
         arcs.append((pix[u], pix[v]))
         arcs.append((pix[v], pix[u]))
-    for p, m in g.edge_ids():
+    for p, m in edge_ids(g):
         arcs.append((pix[p], mix[m]))
     return pix, floyd_warshall(len(people) + len(movies), arcs, directed=True)
 
@@ -396,10 +403,11 @@ def test_rater_rows_list_each_movies_raters():
         rows = g.rater_csr()
         assert g.rater_csr() is rows
         assert len(rows.indptr) == g.n_movies + 1
+        raters = people_by_movie(g)
         for j, movie in enumerate(g.movies.tolist()):
             listed = rows.indices[rows.indptr[j]:rows.indptr[j + 1]]
             assert (np.diff(listed) > 0).all()
-            assert set(g.people[listed].tolist()) == g.people_of(movie)
+            assert set(g.people[listed].tolist()) == raters[movie]
 
 
 def test_l_pp_undefined_on_singleton_giant():
@@ -456,17 +464,17 @@ def test_clustering_matches_direct_count(monkeypatch):
     for block_bytes in (metrics.CLUSTERING_BLOCK_BYTES, 8, 2080):
         monkeypatch.setattr(metrics, "CLUSTERING_BLOCK_BYTES", block_bytes)
         for gs in graphs:
-            ids = [int(v) for v in gs.vertices]
+            adj = adjacency(gs)
             total = 0.0
-            for v in ids:
-                nbrs = sorted(gs.neighbors(v))
+            for v in adj:
+                nbrs = sorted(adj[v])
                 d = len(nbrs)
                 if d < 2:
                     continue
                 links = sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
-                            if b in gs.neighbors(a))
+                            if b in adj[a])
                 total += 2.0 * links / (d * (d - 1))
-            assert abs(clustering_coefficient(gs) - total / len(ids)) < 1e-12
+            assert abs(clustering_coefficient(gs) - total / len(adj)) < 1e-12
 
 
 # -- report utilities ----------------------------------------------------------------

@@ -5,23 +5,15 @@ import pytest
 
 from recgraph import (
     DegenerateModelError,
-    DegreeDistribution,
-    DirectedModelInput,
     InvalidDistributionError,
-    JointDegreeDistribution,
     JumpSpec,
     RecommenderGraph,
-    UndirectedModelInput,
     apply_jump,
-    degree_distribution,
     joint_degree_distribution,
-    moments_directed,
-    moments_undirected,
-    neighbors_at_distance,
-    predict_l_pm,
-    predict_l_pp,
     predict_l_r,
 )
+from recgraph.metrics import DegreeDistribution, JointDegreeDistribution, degree_distribution
+from recgraph.nsw import moments_directed, moments_undirected, predict_l_pm, predict_l_pp
 
 from oracles import random_social
 from test_jumps import four_person_fixture
@@ -78,59 +70,42 @@ def test_moments_directed_rejects_imbalance():
         moments_directed(JointDegreeDistribution({(2, 1): 1.0}, 4))
 
 
-# -- neighbors at distance -------------------------------------------------------
-
-
-def test_neighbors_at_distance():
-    from recgraph import ModelMoments
-    m = ModelMoments(z1=2.0, z2=3.0)
-    assert neighbors_at_distance(m, 1) == 2.0
-    assert neighbors_at_distance(m, 3) == 4.5
-    flat = ModelMoments(z1=2.0, z2=2.0)
-    for step in (1, 2, 5):
-        assert neighbors_at_distance(flat, step) == 2.0
-    with pytest.raises(ValueError):
-        neighbors_at_distance(m, 0)
-    with pytest.raises(DegenerateModelError):
-        neighbors_at_distance(ModelMoments(z1=0.0, z2=0.0), 1)
-
-
 # -- length predictions -----------------------------------------------------------
 
 
 def test_undirected_fixture_value():
     dist = DegreeDistribution({1: 0.5, 3: 0.5}, 10)
-    value = predict_l_pp(UndirectedModelInput(dist, 10))
+    value = predict_l_pp(dist)
     assert abs(value - 2.906920898424682) < 1e-12
 
 
 def test_complete_graph_collapses_to_one():
     for n in range(4, 40):
         dist = DegreeDistribution({n - 1: 1.0}, n)
-        assert predict_l_pp(UndirectedModelInput(dist, n)) == 1.0
+        assert predict_l_pp(dist) == 1.0
 
 
 def test_complete_graph_three_vertices_is_degenerate():
     # n=3 gives z2 = z1 = 2: the formula is 0/0 there
     dist = DegreeDistribution({2: 1.0}, 3)
     with pytest.raises(DegenerateModelError):
-        predict_l_pp(UndirectedModelInput(dist, 3))
+        predict_l_pp(dist)
 
 
 def test_cycle_distribution_is_degenerate():
     dist = DegreeDistribution({2: 1.0}, 50)
     with pytest.raises(DegenerateModelError):
-        predict_l_pp(UndirectedModelInput(dist, 50))
+        predict_l_pp(dist)
 
 
 def test_no_edges_is_degenerate():
     dist = DegreeDistribution({0: 1.0}, 5)
     with pytest.raises(DegenerateModelError):
-        predict_l_pp(UndirectedModelInput(dist, 5))
+        predict_l_pp(dist)
 
 
 def test_directed_fixture_value():
-    value = predict_l_r(DirectedModelInput(four_person_joint(), 4, 71))
+    value = predict_l_r(four_person_joint())
     assert abs(value - 4.24) <= 0.01
     assert abs(value - 4.245871941059724) < 1e-12
 
@@ -141,31 +116,28 @@ def test_directed_fixture_from_constructed_graph():
     gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(25)))
     joint = joint_degree_distribution(gr)
     assert joint.probabilities == four_person_joint().probabilities
-    value = predict_l_r(DirectedModelInput(joint, g.n_people, g.n_movies))
+    value = predict_l_r(joint)
     assert abs(value - 4.245871941059724) < 1e-12
 
 
 def test_directed_degenerate():
     joint = JointDegreeDistribution({(1, 1): 1.0}, 6)
     with pytest.raises(DegenerateModelError):
-        predict_l_r(DirectedModelInput(joint, 3, 3))
+        predict_l_r(joint)
 
 
 def test_complete_digraph_collapses_to_one():
     for n in (4, 7, 12):
         joint = JointDegreeDistribution({(n - 1, n - 1): 1.0}, n)
-        assert predict_l_r(DirectedModelInput(joint, n, 0)) == 1.0
+        assert predict_l_r(joint) == 1.0
 
 
 def test_input_validation():
-    dist = DegreeDistribution({1: 1.0}, 2)
+    # one vertex has no pair to measure, whatever its moments say
     with pytest.raises(InvalidDistributionError):
-        UndirectedModelInput(dist, 1)
-    joint = JointDegreeDistribution({(1, 1): 1.0}, 2)
+        predict_l_pp(DegreeDistribution({3: 1.0}, 1))
     with pytest.raises(InvalidDistributionError):
-        DirectedModelInput(joint, 1, 0)
-    with pytest.raises(InvalidDistributionError):
-        DirectedModelInput(joint, 0, 5)
+        predict_l_r(JointDegreeDistribution({(2, 2): 1.0}, 1))
 
 
 # -- person-movie mean ------------------------------------------------------------
@@ -207,26 +179,25 @@ def test_prediction_depends_only_on_moments():
     b = DegreeDistribution({0: 0.125, 2: 0.75, 4: 0.125}, 10)  # same moments
     ma, mb = moments_undirected(a), moments_undirected(b)
     assert abs(ma.z1 - mb.z1) < 1e-12 and abs(ma.z2 - mb.z2) < 1e-12
-    va = predict_l_pp(UndirectedModelInput(a, 10))
-    vb = predict_l_pp(UndirectedModelInput(b, 10))
+    va = predict_l_pp(a)
+    vb = predict_l_pp(b)
     assert abs(va - vb) < 1e-12
 
 
 def test_prediction_agrees_with_neighborhood_growth():
-    # the smallest l with 1 + sum_m z_m >= N never strays from ceil(prediction)
+    # the smallest l with 1 + sum_m z_m >= N never strays from ceil(prediction),
+    # where z_m = (z2 / z1)**(m - 1) * z1 vertices sit exactly m steps out
     rng = random.Random("growth")
-    from recgraph import ModelMoments
     checked = 0
     while checked < 60:
         z1 = rng.uniform(0.2, 8.0)
         z2 = z1 * rng.uniform(1.01, 4.0)
         n = rng.randint(3, 100000)
-        m = ModelMoments(z1=z1, z2=z2)
         formula = math.log(((n - 1) * (z2 - z1) + z1 * z1) / (z1 * z1)) / math.log(z2 / z1)
         total = 1.0
         steps = 0
         while total < n and steps < 10000:
             steps += 1
-            total += neighbors_at_distance(m, steps)
+            total += (z2 / z1) ** (steps - 1) * z1
         assert abs(steps - math.ceil(formula)) <= 1
         checked += 1

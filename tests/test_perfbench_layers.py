@@ -1,7 +1,9 @@
-"""The benchmark's tracer wraps package functions by name (``perfbench/traced.py``).
+"""Package names the benchmark reaches by name.
 
-A rename under ``src/`` would break ``perfbench/run.py --trace 1`` only when
-that runs; this test makes it fail here instead.
+Its tracer wraps package functions (``perfbench/traced.py``), and its set-up
+samples call ``recgraph.load_ratings`` (``perfbench/run.py``).  A rename or a
+dropped re-export under ``src/`` would break those only when the benchmark
+runs; these tests make it fail here instead.
 """
 
 import importlib
@@ -15,3 +17,13 @@ def test_every_traced_layer_resolves_to_a_callable(monkeypatch):
     traced = importlib.import_module("traced")
     for owner, attr, name, _ in traced.LAYERS:
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+
+
+def test_benchmark_setup_names_resolve():
+    # each set-up sample of perfbench/run.py runs
+    # ``import recgraph.cli; recgraph.load_ratings(path)`` in a fresh child
+    import recgraph
+    import recgraph.cli
+
+    assert callable(recgraph.load_ratings)
+    assert callable(recgraph.cli.main)

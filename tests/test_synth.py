@@ -5,33 +5,43 @@ import numpy as np
 import pytest
 
 from recgraph import (
-    SocialGraph,
     SynthConfig,
-    WreathConfig,
-    calibrate_epsilon,
-    clustering_coefficient,
     generate_power_law_bipartite,
     generate_wreath,
     measure_l_pp,
     rewire,
-    sparsity,
+    synth,
 )
+from recgraph.dataset import is_connected_bipartite, sparsity
+from recgraph.jumps import SocialGraph
+from recgraph.metrics import clustering_coefficient
 from recgraph.synth import (
     PREFERENTIAL,
     UNIFORM,
+    WreathConfig,
     _Fenwick,
     _preferential_target,
+    calibrate_epsilon,
     initial_degree,
     small_world_curve,
 )
 
 from oracles import (
     _oracle_preferential_target,
+    adjacency,
+    edge_ids,
     generate_oracle,
+    movies_by_person,
     random_social,
     rewire_oracle,
     social_edges,
 )
+
+
+def set_rewire_odds(monkeypatch, threshold, outcomes=11):
+    """Rewire a generated rating when a draw from range(outcomes) is below threshold."""
+    monkeypatch.setattr(synth, "REWIRE_THRESHOLD", threshold)
+    monkeypatch.setattr(synth, "REWIRE_OUTCOMES", outcomes)
 
 
 # -- generator --------------------------------------------------------------------
@@ -44,10 +54,6 @@ def test_config_validation():
         SynthConfig(epsilon=-0.1)
     with pytest.raises(ValueError):
         SynthConfig(epsilon=math.nan)
-    with pytest.raises(ValueError):
-        SynthConfig(rewire_threshold=-1)
-    with pytest.raises(ValueError):
-        SynthConfig(rewire_threshold=12, rewire_outcomes=11)
 
 
 def test_initial_degree_formula():
@@ -61,10 +67,10 @@ def test_deterministic_for_seed():
     cfg = SynthConfig(n_people=80, n_movies=30, epsilon=0.5, seed=11)
     a, _ = generate_power_law_bipartite(cfg)
     b, _ = generate_power_law_bipartite(cfg)
-    assert list(a.edge_ids()) == list(b.edge_ids())
+    assert edge_ids(a) == edge_ids(b)
     c, _ = generate_power_law_bipartite(SynthConfig(
         n_people=80, n_movies=30, epsilon=0.5, seed=12))
-    assert list(a.edge_ids()) != list(c.edge_ids())
+    assert edge_ids(a) != edge_ids(c)
 
 
 def test_string_seeds_are_accepted():
@@ -93,36 +99,35 @@ def test_edge_count_is_seed_independent():
 
 
 def test_top_person_rates_everything_and_graph_connects():
-    from recgraph import is_connected_bipartite
     for seed in range(6):
         g, _ = generate_power_law_bipartite(SynthConfig(
             n_people=60, n_movies=25, epsilon=0.5, seed=seed))
-        assert g.movies_of(1) == frozenset(range(1, 26))
+        assert movies_by_person(g)[1] == set(range(1, 26))
         assert is_connected_bipartite(g)
 
 
-def test_epsilon_zero_without_rewiring_is_complete():
-    cfg = SynthConfig(n_people=12, n_movies=8, epsilon=0.0, rewire_threshold=0)
+def test_epsilon_zero_without_rewiring_is_complete(monkeypatch):
+    set_rewire_odds(monkeypatch, 0)
+    cfg = SynthConfig(n_people=12, n_movies=8, epsilon=0.0)
     g, _ = generate_power_law_bipartite(cfg)
     assert g.edge_count == 12 * 8
     assert sparsity(g) == 0.0
 
 
-def test_rewiring_changes_layout_but_not_counts():
-    base = SynthConfig(n_people=40, n_movies=20, epsilon=0.5,
-                       rewire_threshold=0, seed=3)
-    wired = SynthConfig(n_people=40, n_movies=20, epsilon=0.5,
-                        rewire_threshold=5, seed=3)
-    g0, _ = generate_power_law_bipartite(base)
-    g1, _ = generate_power_law_bipartite(wired)
+def test_rewiring_changes_layout_but_not_counts(monkeypatch):
+    cfg = SynthConfig(n_people=40, n_movies=20, epsilon=0.5, seed=3)
+    set_rewire_odds(monkeypatch, 0)
+    g0, _ = generate_power_law_bipartite(cfg)
+    set_rewire_odds(monkeypatch, 5)
+    g1, _ = generate_power_law_bipartite(cfg)
     assert g0.edge_count == g1.edge_count
-    assert set(g0.edge_ids()) != set(g1.edge_ids())
+    assert set(edge_ids(g0)) != set(edge_ids(g1))
 
 
-def test_skipped_rewires_counted_when_person_saturated():
+def test_skipped_rewires_counted_when_person_saturated(monkeypatch):
     # a single-movie world: nobody has an unseen movie to rewire to
-    cfg = SynthConfig(n_people=5, n_movies=1, epsilon=0.1,
-                      rewire_threshold=11, rewire_outcomes=11, seed=2)
+    set_rewire_odds(monkeypatch, 11)
+    cfg = SynthConfig(n_people=5, n_movies=1, epsilon=0.1, seed=2)
     g, diag = generate_power_law_bipartite(cfg)
     assert diag.skipped_rewires == 5
     assert g.edge_count == 5
@@ -141,14 +146,14 @@ def test_unrated_people_get_movie_one():
     assert len(unrated) == 192
     g, diag = generate_power_law_bipartite(cfg)
     assert diag.repair_edges == len(unrated)
+    rated = movies_by_person(g)
     for b in unrated:
-        assert g.movies_of(b) == frozenset({1})
-    from recgraph import is_connected_bipartite
+        assert rated[b] == {1}
     assert is_connected_bipartite(g)
 
 
 _ORACLE_GRID = [
-    # (n_people, n_movies, epsilon, rewire_threshold, rewire_outcomes)
+    # (n_people, n_movies, epsilon, REWIRE_THRESHOLD, REWIRE_OUTCOMES)
     (500, 75, 0.7, 2, 11),
     (500, 75, 0.27, 5, 11),
     (500, 75, 130, 2, 11),
@@ -164,10 +169,11 @@ _ORACLE_GRID = [
 
 
 @pytest.mark.parametrize("n_people,n_movies,epsilon,threshold,outcomes", _ORACLE_GRID)
-def test_generator_matches_dict_of_sets_oracle(n_people, n_movies, epsilon, threshold, outcomes):
+def test_generator_matches_dict_of_sets_oracle(monkeypatch, n_people, n_movies, epsilon,
+                                              threshold, outcomes):
+    set_rewire_odds(monkeypatch, threshold, outcomes)
     for seed in (0, 7, "3:15:2"):
-        cfg = SynthConfig(n_people=n_people, n_movies=n_movies, epsilon=epsilon,
-                          rewire_threshold=threshold, rewire_outcomes=outcomes, seed=seed)
+        cfg = SynthConfig(n_people=n_people, n_movies=n_movies, epsilon=epsilon, seed=seed)
         got, diag = generate_power_law_bipartite(cfg)
         want, skipped, repair = generate_oracle(cfg)
         for name in ("people", "movies", "edge_person_idx", "edge_movie_idx"):
@@ -224,14 +230,15 @@ def test_wreath_twelve_four():
     g = generate_wreath(12, 4)
     assert g.n == 12
     assert g.edge_count == 24
-    assert all(len(g.neighbors(v)) == 4 for v in range(12))
-    assert g.neighbors(0) == frozenset({1, 2, 10, 11})
+    adj = adjacency(g)
+    assert all(len(adj[v]) == 4 for v in range(12))
+    assert adj[0] == {1, 2, 10, 11}
 
 
 def test_wreath_cycle():
     g = generate_wreath(5, 2)
     assert g.edge_count == 5
-    assert all(len(g.neighbors(v)) == 2 for v in range(5))
+    assert all(len(nbrs) == 2 for nbrs in adjacency(g).values())
 
 
 def test_wreath_validation():
