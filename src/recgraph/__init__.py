@@ -22,7 +22,7 @@ from .errors import (
     UndefinedMetricError,
     UnknownNodeError,
 )
-from .jumps import JumpSpec, RecommenderGraph, apply_jump
+from .jumps import RecommenderGraph, apply_jump
 from .metrics import joint_degree_distribution, measure_l_pp, measure_l_r_l_pm
 from .nsw import predict_l_r
 from .synth import SynthConfig, generate_power_law_bipartite, generate_wreath, rewire
@@ -36,7 +36,6 @@ __all__ = [
     "FitError",
     "GraphMismatchError",
     "InvalidDistributionError",
-    "JumpSpec",
     "ParseError",
     "RecgraphError",
     "RecommenderGraph",

@@ -19,8 +19,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .dataset import (
-    GENERIC_CSV,
-    MOVIELENS_TAB,
+    FORMATS,
     fit_power_law,
     is_connected_bipartite,
     load_ratings,
@@ -35,7 +34,7 @@ from .errors import (
     RecgraphError,
     UndefinedMetricError,
 )
-from .jumps import JumpSpec, RecommenderGraph, apply_jump, co_rating_pairs
+from .jumps import RecommenderGraph, apply_jump, co_rating_pairs
 from .metrics import (
     connected_components,
     csv_float,
@@ -57,7 +56,6 @@ from .synth import (
     small_world_curve,
 )
 
-FORMAT_ALIASES = {"movielens": MOVIELENS_TAB, "csv": GENERIC_CSV}
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -178,8 +176,8 @@ def resolve_config(args) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    if cfg.format not in FORMAT_ALIASES:
-        raise ConfigError(f"format must be one of {sorted(FORMAT_ALIASES)}, got {cfg.format!r}")
+    if cfg.format not in FORMATS:
+        raise ConfigError(f"format must be one of {sorted(FORMATS)}, got {cfg.format!r}")
     if cfg.w_min < 1 or cfg.w_max < cfg.w_min:
         raise ConfigError(f"need 1 <= w_min <= w_max, got [{cfg.w_min}, {cfg.w_max}]")
     if cfg.kappa_min < 1 or cfg.kappa_max < cfg.kappa_min:
@@ -201,7 +199,7 @@ def _validate(cfg: RunConfig):
 def _load_dataset(cfg: RunConfig):
     if not cfg.input:
         raise ConfigError(f"{cfg.command} needs --input")
-    return load_ratings(cfg.input, FORMAT_ALIASES[cfg.format])
+    return load_ratings(cfg.input, cfg.format)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -234,7 +232,7 @@ def sweep_rows(g, w_min, w_max, max_sources=None, seed=0, warn=None):
     total_vertices = g.n_people + g.n_movies
     rows = []
     for w in range(w_min, w_max + 1):
-        gs = apply_jump(g, JumpSpec.hammock(w), pairs)
+        gs = apply_jump(g, w, pairs)
         gr = RecommenderGraph(g, gs)
         report = connected_components(gr)
         n_gp = len(report.giant_people)
@@ -421,7 +419,7 @@ def cmd_cdf(cfg: RunConfig) -> int:
     pairs = co_rating_pairs(g)
     out = _out_dir(cfg)
     for w in range(cfg.w_min, cfg.w_max + 1):
-        gs = apply_jump(g, JumpSpec.hammock(w), pairs)
+        gs = apply_jump(g, w, pairs)
         try:
             dist = degree_distribution(gs, largest_only=cfg.largest_only)
         except UndefinedMetricError:
@@ -458,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="random seed (default 0)")
         if dataset:
             p.add_argument("--input", help="path to the ratings file")
-            p.add_argument("--format", choices=sorted(FORMAT_ALIASES),
+            p.add_argument("--format", choices=sorted(FORMATS),
                            help="input format (default movielens)")
 
     p = sub.add_parser("stats", help="dataset shape, hits/buffs, power-law fit")

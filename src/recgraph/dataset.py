@@ -21,7 +21,7 @@ from itertools import filterfalse, repeat
 
 import numpy as np
 
-from .edges import Csr, component_labels
+from .edges import Csr, component_labels, csr
 from .errors import (
     EmptyDatasetError,
     FitError,
@@ -30,8 +30,9 @@ from .errors import (
     UnknownNodeError,
 )
 
-MOVIELENS_TAB = "movielens_tab"
-GENERIC_CSV = "generic_csv"
+# Input formats, by the names the CLI's --format takes.
+MOVIELENS_TAB = "movielens"
+GENERIC_CSV = "csv"
 
 FORMATS = (MOVIELENS_TAB, GENERIC_CSV)
 
@@ -94,11 +95,7 @@ class BipartiteRatings:
     def rater_csr(self) -> Csr:
         """Row j lists the people who rated movie j, ascending (cached); see ``edges.Csr``."""
         if self._raters is None:
-            # the edges are in (person, movie) order, so a stable sort by movie keeps it
-            indptr = np.zeros(self.n_movies + 1, dtype=np.int64)
-            np.cumsum(self.movie_degrees(), out=indptr[1:])
-            order = np.argsort(self.edge_movie_idx, kind="stable")
-            self._raters = Csr(indptr, self.edge_person_idx[order])
+            self._raters = csr(self.n_movies, self.edge_movie_idx, self.edge_person_idx)
         return self._raters
 
 

@@ -21,15 +21,19 @@ class Csr(NamedTuple):
 
 
 def csr(n, tails, heads) -> Csr:
-    """Rows of the distinct arcs tails[i] -> heads[i] over n vertices.
+    """Rows 0..n-1 of the distinct arcs tails[i] -> heads[i].
 
-    One sort of the keys ``tail * n + head`` orders the arcs by tail and,
-    within a row, by head; the row pointers are the running tail counts.
+    Heads may index another vertex set than the n tails do, as a movie's
+    raters do.  One sort of the keys ``tail * span + head``, with span past
+    every head and at least n, orders the arcs by tail and, within a row, by
+    head; the row pointers are the running tail counts.
     """
-    keys = np.sort(np.asarray(tails, dtype=np.int64) * n + heads)
+    heads = np.asarray(heads, dtype=np.int64)
+    span = max(n, int(heads.max(initial=0)) + 1)
+    keys = np.sort(np.asarray(tails, dtype=np.int64) * span + heads)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
-    return Csr(indptr, keys % max(n, 1))
+    return Csr(indptr, keys % span)
 
 
 def component_labels(n, u, v) -> np.ndarray:

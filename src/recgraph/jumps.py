@@ -3,8 +3,9 @@
 A jump turns the bipartite rating graph into an undirected social graph G_s
 whose edges connect people with sufficiently overlapping taste, plus a
 directed recommender graph G_r that keeps the movies reachable from that
-social structure.  The hammock jump with width w connects two people when
-they co-rated at least w movies; the skip jump is the width-1 special case.
+social structure.  A jump is its width w, the hammock of width w: it
+connects two people when they co-rated at least w movies.  Width 1 is the
+skip jump, which links every pair of co-raters.
 
 In G_r every social edge contributes arcs in both directions and every
 rating contributes one person -> movie arc.  Movies have no outgoing arcs,
@@ -13,44 +14,15 @@ so they are reachable endpoints rather than hubs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import BipartiteRatings
 from .edges import csr
 from .errors import GraphMismatchError, UnknownNodeError
 
-SKIP = "skip"
-HAMMOCK = "hammock"
-
 # Byte budget for one block of co-rating counts: its rows of people times
 # the people from the block's first row on, at the incidence's item size.
 CO_RATING_BLOCK_BYTES = 16 << 20
-
-
-@dataclass(frozen=True)
-class JumpSpec:
-    """A jump kind plus its width; skip is pinned to width 1."""
-
-    kind: str = HAMMOCK
-    width: int = 1
-
-    def __post_init__(self):
-        if self.kind not in (SKIP, HAMMOCK):
-            raise ValueError(f"unknown jump kind: {self.kind!r}")
-        if not isinstance(self.width, int) or self.width < 1:
-            raise ValueError("width must be a positive integer")
-        if self.kind == SKIP and self.width != 1:
-            raise ValueError("skip is the width-1 jump; width cannot vary")
-
-    @classmethod
-    def skip(cls) -> "JumpSpec":
-        return cls(kind=SKIP, width=1)
-
-    @classmethod
-    def hammock(cls, width: int) -> "JumpSpec":
-        return cls(kind=HAMMOCK, width=width)
 
 
 class SocialGraph:
@@ -81,6 +53,7 @@ class SocialGraph:
             self._eu = np.empty(0, dtype=np.int64)
             self._ev = np.empty(0, dtype=np.int64)
         self._csr = None
+        self._degrees = None
         self._labels = None  # component label per vertex, filled by metrics
         self._components = None  # ComponentReport, filled by metrics
 
@@ -92,6 +65,7 @@ class SocialGraph:
         g._eu = np.asarray(eu, dtype=np.int64)
         g._ev = np.asarray(ev, dtype=np.int64)
         g._csr = None
+        g._degrees = None
         g._labels = None
         g._components = None
         return g
@@ -112,9 +86,10 @@ class SocialGraph:
     # -- access ------------------------------------------------------------
 
     def degrees(self) -> np.ndarray:
-        """Degree per vertex, aligned with ``self.vertices``."""
-        both = np.concatenate([self._eu, self._ev])
-        return np.bincount(both, minlength=self.n)
+        """Degree per vertex, aligned with ``self.vertices`` (cached)."""
+        if self._degrees is None:
+            self._degrees = np.bincount(np.concatenate([self._eu, self._ev]), minlength=self.n)
+        return self._degrees
 
     def adjacency_csr(self):
         """Symmetric adjacency rows over vertex indices (cached); see ``edges.Csr``."""
@@ -122,20 +97,6 @@ class SocialGraph:
             self._csr = csr(self.n, np.concatenate([self._eu, self._ev]),
                             np.concatenate([self._ev, self._eu]))
         return self._csr
-
-    def subgraph(self, vertex_ids) -> "SocialGraph":
-        """Induced subgraph on the given vertex ids."""
-        keep_ids = np.array(sorted({int(v) for v in vertex_ids}), dtype=np.int64)
-        unknown = keep_ids[~np.isin(keep_ids, self.vertices)]
-        if len(unknown):
-            raise UnknownNodeError(f"unknown vertex id: {unknown[0]}")
-        pos = np.searchsorted(self.vertices, keep_ids)
-        # kept indices map to 0.. in order, so remapped edges stay u < v and lexsorted
-        remap = np.full(self.n, -1, dtype=np.int64)
-        remap[pos] = np.arange(len(pos))
-        eu, ev = remap[self._eu], remap[self._ev]
-        kept = (eu >= 0) & (ev >= 0)
-        return SocialGraph._from_arrays(keep_ids, eu[kept], ev[kept])
 
 
 # -- jump application -------------------------------------------------------
@@ -168,15 +129,18 @@ def co_rating_pairs(g: BipartiteRatings):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def apply_jump(g: BipartiteRatings, spec: JumpSpec, pairs=None) -> SocialGraph:
-    """Induce the social graph for a jump.
+def apply_jump(g: BipartiteRatings, width: int, pairs=None) -> SocialGraph:
+    """Induce the social graph of the jump with the given width.
 
-    Every person stays a vertex even when isolated.  ``pairs`` may carry a
-    precomputed :func:`co_rating_pairs` result so a sweep over widths pays
-    the counting cost once.
+    Two people are linked when they co-rated at least ``width`` movies, a
+    positive int.  Every person stays a vertex even when isolated.
+    ``pairs`` may carry a precomputed :func:`co_rating_pairs` result so a
+    sweep over widths pays the counting cost once.
     """
+    if not isinstance(width, int) or width < 1:
+        raise ValueError("width must be a positive integer")
     iu, iv, cnt = pairs if pairs is not None else co_rating_pairs(g)
-    keep = cnt >= spec.width
+    keep = cnt >= width
     return SocialGraph._from_arrays(g.people.copy(), iu[keep], iv[keep])
 
 

@@ -72,13 +72,14 @@ class ComponentReport:
     ``component_sizes`` holds (people, movies) pairs in the listing order
     described by :func:`connected_components`; ``giant_people`` and
     ``giant_movies`` are the ids inside the largest component.
+    ``isolated_people`` counts the one-person social components, the people
+    without a social edge (a movie they rated does not join them to anyone).
     """
 
     component_sizes: tuple
     giant_people: tuple
     giant_movies: tuple
     isolated_people: int
-    shattered: bool
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,7 @@ def _component_report(social: SocialGraph, ratings) -> ComponentReport:
         social._labels = component_labels(social.n, social._eu, social._ev)
     labels = social._labels
     people = np.bincount(labels)
+    isolated = int(np.count_nonzero(people == 1))
     n_comp = len(people)
     # vertices are sorted, so a label's first index holds its minimum person id
     _, first = np.unique(labels, return_index=True)
@@ -201,18 +203,15 @@ def _component_report(social: SocialGraph, ratings) -> ComponentReport:
         movies = np.concatenate([movies, np.ones(len(unrated), dtype=np.int64)])
         anchor = np.concatenate([anchor, unrated])
     if len(people) == 0:
-        return ComponentReport((), (), (), 0, True)
+        return ComponentReport((), (), (), 0)
 
     order = np.lexsort((anchor, -people, -(people + movies)))
     giant = order[0]
-    degrees = social.degrees()
-    giant_person = labels == giant
     return ComponentReport(
         component_sizes=tuple(zip(people[order].tolist(), movies[order].tolist())),
-        giant_people=tuple(social.vertices[giant_person].tolist()),
+        giant_people=tuple(social.vertices[labels == giant].tolist()),
         giant_movies=tuple(movie_ids[movie_label == giant].tolist()),
-        isolated_people=int(np.count_nonzero(degrees == 0)),
-        shattered=not bool(np.any(degrees[~giant_person])),
+        isolated_people=isolated,
     )
 
 
@@ -454,17 +453,26 @@ def measure_l_r_l_pm(gr: RecommenderGraph, max_sources=None, seed=0) -> PathLeng
 def clustering_coefficient(g: SocialGraph) -> float:
     """Mean over vertices of the edge density among each vertex's neighbors.
 
-    Vertices with fewer than two neighbors contribute zero.  The neighbours
-    two ends of an edge share are counted as set bits of the AND of their
-    adjacency bitsets, 64 columns to a uint64 word, over column ranges and
-    edge blocks that stay within CLUSTERING_BLOCK_BYTES; the shared
-    neighbours summed over a vertex's edges are twice its triangles.
+    Vertices with fewer than two neighbors contribute zero; see
+    :func:`_local_clustering` for how the triangles are counted.
+    """
+    if g.n == 0:
+        raise UndefinedMetricError("clustering coefficient of an empty graph")
+    return float(_local_clustering(g).mean())
+
+
+def _local_clustering(g: SocialGraph) -> np.ndarray:
+    """Edge density among each vertex's neighbours, aligned with ``g.vertices``.
+
+    The neighbours two ends of an edge share are counted as set bits of the
+    AND of their adjacency bitsets, 64 columns to a uint64 word, over column
+    ranges and edge blocks that stay within CLUSTERING_BLOCK_BYTES; the
+    shared neighbours summed over a vertex's edges are twice its triangles.
+    A vertex's value depends only on its component, so a component's mean
+    is the clustering coefficient of that component alone.  ``g`` has at
+    least one vertex.
     """
     n = g.n
-    if n == 0:
-        raise UndefinedMetricError("clustering coefficient of an empty graph")
-    if g.edge_count == 0:
-        return 0.0
     eu, ev = g._eu, g._ev
     tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
     words = min(-(-n // 64), max(1, CLUSTERING_BLOCK_BYTES // (8 * n)))
@@ -484,9 +492,7 @@ def clustering_coefficient(g: SocialGraph) -> float:
     closed = np.bincount(tails, np.concatenate([shared, shared]), minlength=n)  # 2 * triangles at i
     deg = g.degrees().astype(np.int64)
     denom = deg * (deg - 1)
-    contrib = np.divide(closed, denom, out=np.zeros(n, dtype=float),
-                        where=denom > 0)
-    return float(contrib.mean())
+    return np.divide(closed, denom, out=np.zeros(n, dtype=float), where=denom > 0)
 
 
 # -- report utilities -----------------------------------------------------------------

@@ -26,7 +26,12 @@ import numpy as np
 from .dataset import BipartiteRatings
 from .errors import UndefinedMetricError
 from .jumps import SocialGraph
-from .metrics import clustering_coefficient, connected_components, measure_l_pp
+from .metrics import (
+    _local_clustering,
+    clustering_coefficient,
+    connected_components,
+    measure_l_pp,
+)
 
 UNIFORM = "uniform"
 PREFERENTIAL = "preferential"
@@ -336,10 +341,12 @@ class CurvePoint:
 
 
 def _giant_clustering(graph: SocialGraph) -> float:
+    """The clustering coefficient of the giant component alone."""
     report = connected_components(graph)
     if not report.giant_people:
         raise UndefinedMetricError("no giant component to measure")
-    return clustering_coefficient(graph.subgraph(report.giant_people))
+    in_giant = np.isin(graph.vertices, report.giant_people)
+    return float(_local_clustering(graph)[in_giant].mean())
 
 
 def small_world_curve(cfg: WreathConfig, p_values, trials: int = 1):

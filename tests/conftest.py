@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from recgraph import load_ratings
+from recgraph.dataset import GENERIC_CSV, MOVIELENS_TAB
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,7 +31,7 @@ def ml100k():
         pytest.skip(
             "MovieLens-100k not found (expected data/ml-100k/u.data or "
             "$RECGRAPH_DATA/ml-100k/u.data; run scripts/fetch_ml100k.py)")
-    return load_ratings(path, "movielens_tab")
+    return load_ratings(path, MOVIELENS_TAB)
 
 
 @pytest.fixture(scope="session")
@@ -40,4 +41,4 @@ def eachmovie():
         pytest.skip(
             "EachMovie data not found (expected $RECGRAPH_DATA/eachmovie.csv "
             "as person,movie CSV; the dataset is no longer distributed)")
-    return load_ratings(path, "generic_csv")
+    return load_ratings(path, GENERIC_CSV)

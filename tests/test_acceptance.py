@@ -14,7 +14,6 @@ import pytest
 from conftest import eachmovie_path, movielens_path
 from recgraph import (
     DegenerateModelError,
-    JumpSpec,
     RecommenderGraph,
     SynthConfig,
     apply_jump,
@@ -27,6 +26,8 @@ from recgraph import (
 )
 from recgraph.cli import sweep_rows
 from recgraph.dataset import (
+    GENERIC_CSV,
+    MOVIELENS_TAB,
     BipartiteRatings,
     bfs_reach_count,
     fit_power_law,
@@ -58,7 +59,7 @@ _CACHE = {}
 def _ml100k():
     if "ml" not in _CACHE:
         t0 = time.perf_counter()
-        g = load_ratings(movielens_path(), "movielens_tab")
+        g = load_ratings(movielens_path(), MOVIELENS_TAB)
         _CACHE["ml"] = (g, time.perf_counter() - t0)
     return _CACHE["ml"]
 
@@ -75,7 +76,7 @@ def _ml_sweep():
 def test_ac01_small_fixture_prediction():
     from test_jumps import four_person_fixture
     g = four_person_fixture()
-    gs = apply_jump(g, JumpSpec.hammock(25))
+    gs = apply_jump(g, 25)
     gr = RecommenderGraph(g, gs)
     joint = joint_degree_distribution(gr)
     value = predict_l_r(joint)
@@ -133,7 +134,7 @@ def test_ac03_standin_structure(monkeypatch):
     pairs = co_rating_pairs(g)
     reports = []
     for w in range(1, 31):
-        gs = apply_jump(g, JumpSpec.hammock(w), pairs)
+        gs = apply_jump(g, w, pairs)
         reports.append((w, connected_components(RecommenderGraph(g, gs))))
     w_star = 0
     for w, report in reports:
@@ -255,7 +256,7 @@ def test_ac09_rewired_lattice_ratios():
 def test_ac10_eachmovie_shape():
     if eachmovie_path() is None:
         _skip("AC10", "EachMovie data not present ($RECGRAPH_DATA/eachmovie.csv)")
-    g = load_ratings(eachmovie_path(), "generic_csv")
+    g = load_ratings(eachmovie_path(), GENERIC_CSV)
     order = reorder_hits_buffs(g)
     top = order.buff_rank[0]
     degree = int(dict(zip(g.people.tolist(), g.person_degrees().tolist()))[top])

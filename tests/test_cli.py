@@ -274,6 +274,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unknown_format_exits_2(tmp_path, capsys):
+    _, path = synth_file(tmp_path)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("format = movielens_tab\n", encoding="utf-8")
+    rc = main(["sweep", "--input", str(path), "--config", str(cfg_file)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: format must be one of ['csv', 'movielens'], got 'movielens_tab'\n")
+    assert main(["sweep", "--input", str(path), "--format", "tab"]) == 2
+    assert "argument --format: invalid choice: 'tab'" in capsys.readouterr().err
+
+
 def test_config_file_sets_boolean_none_and_typed_keys(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("largest_only = yes\nmax_sources = 40\nn_people = 60\n"

@@ -71,3 +71,11 @@ def test_csr_rows_sorted():
         listed = [(i, int(j)) for i in range(gs.n)
                   for j in rows.indices[rows.indptr[i]:rows.indptr[i + 1]]]
         assert listed == arcs
+
+
+def test_csr_heads_past_n():
+    # two rows whose heads index a larger vertex set, as a movie's raters do
+    rows = csr(2, [1, 0, 1, 0], [7, 5, 0, 9])
+    assert rows.indptr.tolist() == [0, 2, 4]
+    assert rows.indices.tolist() == [5, 9, 0, 7]
+    assert csr(0, [], []).indptr.tolist() == [0]

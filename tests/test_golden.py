@@ -1,0 +1,67 @@
+"""Golden outputs: the SHA-256 of every CSV four small CLI runs write.
+
+The rating file is the benchmark's seeded ML-100k-shaped stand-in
+(``perfbench/standins.py``, seed 0), imported read-only.  The other CLI
+tests compare two runs of the same code; these digests pin the bytes
+themselves, so a rewrite that moves any output byte fails here.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from recgraph.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+GOLDEN = {
+    ("sweep", "sweep.csv"):
+        "13e24c32cb091a849911baaa1362af0e019afba4c3eb5e080e07c6a2f565c8ac",
+    ("cdf", "cdf_w01.csv"):
+        "ea14fcac699a6e5c3c49e207e4b4a2beef932fa1d7165c038f1b2d73e059be97",
+    ("cdf", "cdf_w02.csv"):
+        "173e705d1e28c162af9ec2551832caa2c6af4d627b1329952494a9abd20ed103",
+    ("cdf", "cdf_w03.csv"):
+        "7d10dabe81ef989abee65355d9da342889c1ddb28468f927df6a87f0ccc6110a",
+    ("synth-study", "synth_linf.csv"):
+        "6d3368e7bf6f2dd182febb53f869be90a698d1942b54264dd4d5d4d1e07fd6ad",
+    ("synth-study", "synth_study.csv"):
+        "f040808060a01d6e201e1f5714af5ed1bbf8ab2d475e3e75c11a3ec6acacea6f",
+    ("ws", "ws.csv"):
+        "8243fb4809a77cab2485777b115433a42d68c22803b03c6dbf1a92fa5c39bc52",
+}
+
+
+@pytest.fixture(scope="module")
+def standin(tmp_path_factory):
+    mp = pytest.MonkeyPatch()
+    mp.syspath_prepend(str(PERFBENCH))
+    try:
+        import standins
+        path = tmp_path_factory.mktemp("golden") / "u.data"
+        standins.write_movielens(standins.ML100K, 0, path)
+    finally:
+        mp.undo()
+    return path
+
+
+def _runs(path):
+    return {
+        "sweep": ["sweep", "--input", str(path), "--w-min", "17", "--w-max", "18"],
+        "cdf": ["cdf", "--input", str(path), "--w-min", "1", "--w-max", "3",
+                "--log", "--largest-only"],
+        "synth-study": ["synth-study", "--kappa-min", "1", "--kappa-max", "3",
+                        "--w-min", "1", "--w-max", "6"],
+        "ws": ["ws", "--n", "200", "--k", "6", "--mode", "both", "--trials", "2"],
+    }
+
+
+@pytest.mark.parametrize("command", ["sweep", "cdf", "synth-study", "ws"])
+def test_csv_digests_match_golden(command, standin, tmp_path, capsys):
+    out = tmp_path / command
+    assert main(_runs(standin)[command] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    got = {(command, f.name): hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in sorted(out.iterdir())}
+    assert got == {key: digest for key, digest in GOLDEN.items() if key[0] == command}

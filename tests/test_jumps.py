@@ -3,14 +3,13 @@ import pytest
 
 from recgraph import (
     GraphMismatchError,
-    JumpSpec,
     RecommenderGraph,
     UnknownNodeError,
     apply_jump,
 )
 from recgraph import jumps
 from recgraph.dataset import BipartiteRatings
-from recgraph.jumps import HAMMOCK, SKIP, SocialGraph, co_rating_pairs
+from recgraph.jumps import SocialGraph, co_rating_pairs
 
 from oracles import adjacency, hammock_edges_bruteforce, random_ratings, social_edges
 
@@ -41,28 +40,16 @@ def four_person_fixture():
     return BipartiteRatings(pairs)
 
 
-# -- JumpSpec -------------------------------------------------------------------
+# -- width ---------------------------------------------------------------------
 
 
-def test_spec_validation():
-    assert JumpSpec.skip().width == 1
-    assert JumpSpec.hammock(3).width == 3
-    with pytest.raises(ValueError):
-        JumpSpec(kind=HAMMOCK, width=0)
-    with pytest.raises(ValueError):
-        JumpSpec(kind=SKIP, width=2)
-    with pytest.raises(ValueError):
-        JumpSpec(kind="teleport", width=1)
-    with pytest.raises(ValueError):
-        JumpSpec(kind=HAMMOCK, width=1.5)
-
-
-def test_skip_equals_hammock_one():
-    for seed in range(25):
-        g = random_ratings(seed)
-        a = apply_jump(g, JumpSpec.skip())
-        b = apply_jump(g, JumpSpec.hammock(1))
-        assert set(social_edges(a)) == set(social_edges(b))
+def test_width_validation():
+    g = BipartiteRatings([(1, 10), (2, 10)])
+    assert social_edges(apply_jump(g, 1)) == [(1, 2)]
+    assert social_edges(apply_jump(g, 2)) == []
+    for bad in (0, -1, 1.5, 1.0, "1", None):
+        with pytest.raises(ValueError):
+            apply_jump(g, bad)
 
 
 # -- SocialGraph ------------------------------------------------------------------
@@ -73,6 +60,8 @@ def test_social_graph_basics():
     assert gs.n == 3
     assert gs.edge_count == 2  # (1,2) deduplicated across orientations
     assert adjacency(gs) == {1: {2}, 2: {1, 3}, 3: {2}}
+    assert gs.degrees().tolist() == [1, 2, 1]
+    assert SocialGraph([4, 5]).degrees().tolist() == [0, 0]
 
 
 def test_social_graph_rejects_bad_edges():
@@ -82,22 +71,15 @@ def test_social_graph_rejects_bad_edges():
         SocialGraph([1, 2], [(1, 9)])
 
 
-def test_subgraph_is_induced():
-    gs = SocialGraph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4)])
-    sub = gs.subgraph([1, 2, 3])
-    assert set(social_edges(sub)) == {(1, 2), (2, 3)}
-    assert sub.n == 3
-
-
 # -- hammock correctness ------------------------------------------------------------
 
 
 def test_threshold_semantics():
     g = BipartiteRatings([(1, 10), (1, 11), (1, 12), (2, 10), (2, 11), (2, 12)])
     for w in (1, 2, 3):
-        gs = apply_jump(g, JumpSpec.hammock(w))
+        gs = apply_jump(g, w)
         assert adjacency(gs)[1] == {2}
-    gs4 = apply_jump(g, JumpSpec.hammock(4))
+    gs4 = apply_jump(g, 4)
     assert adjacency(gs4)[1] == set()
     assert gs4.n == 2  # isolated people stay
 
@@ -107,7 +89,7 @@ def test_hammock_equals_bruteforce_oracle():
     for seed in range(120):
         g = random_ratings(seed, max_people=30, max_movies=25)
         for w in (1, 2, 3, 5):
-            gs = apply_jump(g, JumpSpec.hammock(w))
+            gs = apply_jump(g, w)
             assert set(social_edges(gs)) == hammock_edges_bruteforce(g, w), (
                 f"seed {seed} width {w}")
 
@@ -117,7 +99,7 @@ def test_hammock_monotone_in_width():
         g = random_ratings(seed)
         prev = None
         for w in range(1, 6):
-            edges = set(social_edges(apply_jump(g, JumpSpec.hammock(w))))
+            edges = set(social_edges(apply_jump(g, w)))
             if prev is not None:
                 assert edges <= prev
             prev = edges
@@ -128,9 +110,8 @@ def test_precomputed_pairs_match():
         g = random_ratings(seed)
         pairs = co_rating_pairs(g)
         for w in (1, 2, 3):
-            spec = JumpSpec.hammock(w)
-            assert (set(social_edges(apply_jump(g, spec, pairs)))
-                    == set(social_edges(apply_jump(g, spec))))
+            assert (set(social_edges(apply_jump(g, w, pairs)))
+                    == set(social_edges(apply_jump(g, w))))
 
 
 def test_co_rating_blocks_match_one_block(monkeypatch):
@@ -158,7 +139,7 @@ def test_two_step_reachability_is_composed_jumps():
     # shared neighbor exists
     for seed in range(25):
         g = random_ratings(seed)
-        gs = apply_jump(g, JumpSpec.skip())
+        gs = apply_jump(g, 1)
         people = [int(p) for p in g.people]
         nbrs = adjacency(gs)
         for i, u in enumerate(people):
@@ -172,7 +153,7 @@ def test_two_step_reachability_is_composed_jumps():
 
 def test_four_person_fixture_edges():
     g = four_person_fixture()
-    gs = apply_jump(g, JumpSpec.hammock(25))
+    gs = apply_jump(g, 25)
     assert set(social_edges(gs)) == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)}
     adj = adjacency(gs)
     assert len(adj[1]) == 3
@@ -184,7 +165,7 @@ def test_four_person_fixture_edges():
 
 def test_arc_counts():
     g = BipartiteRatings([(1, 10), (2, 10)])
-    gs = apply_jump(g, JumpSpec.skip())
+    gs = apply_jump(g, 1)
     gr = RecommenderGraph(g, gs)
     assert gr.person_arc_count == 2
     assert gr.movie_arc_count == 2
@@ -193,7 +174,7 @@ def test_arc_counts():
 def test_arc_counts_random():
     for seed in range(25):
         g = random_ratings(seed)
-        gs = apply_jump(g, JumpSpec.hammock(2))
+        gs = apply_jump(g, 2)
         gr = RecommenderGraph(g, gs)
         assert gr.person_arc_count == 2 * gs.edge_count
         assert gr.movie_arc_count == g.edge_count
@@ -202,7 +183,7 @@ def test_arc_counts_random():
 def test_movies_are_sinks_and_person_arcs_paired():
     for seed in range(15):
         g = random_ratings(seed)
-        gr = RecommenderGraph(g, apply_jump(g, JumpSpec.skip()))
+        gr = RecommenderGraph(g, apply_jump(g, 1))
         indptr, indices = gr.out_csr()
         n_people = gr.n_people
         assert len(indptr) == n_people + gr.n_movies + 1

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from recgraph import (
-    JumpSpec,
     RecommenderGraph,
     UndefinedMetricError,
     apply_jump,
@@ -48,7 +47,7 @@ from oracles import (
 def chain_graph():
     """p1 - m1 - p2 - m2 - p3 under the weakest jump."""
     g = BipartiteRatings([(1, 101), (2, 101), (2, 102), (3, 102)])
-    gs = apply_jump(g, JumpSpec.skip())
+    gs = apply_jump(g, 1)
     return g, gs, RecommenderGraph(g, gs)
 
 
@@ -75,14 +74,13 @@ def test_isolated_people_counted():
     report = connected_components(gs)
     assert report.isolated_people == 3
     assert report.component_sizes == ((2, 0), (1, 0), (1, 0), (1, 0))
-    assert report.shattered
 
 
 def test_not_shattered_when_secondary_component_has_edges():
     gs = SocialGraph([1, 2, 3, 4, 5], [(1, 2), (1, 3), (4, 5)])
     report = connected_components(gs)
     assert set(report.giant_people) == {1, 2, 3}
-    assert not report.shattered
+    assert report.isolated_people == 0  # the pair 4-5 is not isolated
 
 
 def test_movie_assignment_follows_bigger_people_component():
@@ -93,7 +91,7 @@ def test_movie_assignment_follows_bigger_people_component():
         [(1, 10), (1, 11), (2, 10), (2, 11), (3, 10), (3, 11),
          (4, 20), (4, 21), (5, 20), (5, 21),
          (1, 50), (4, 50)])
-    gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(2)))
+    gr = RecommenderGraph(g, apply_jump(g, 2))
     report = connected_components(gr)
     assert set(report.giant_people) == {1, 2, 3}
     assert 50 in report.giant_movies
@@ -105,7 +103,7 @@ def test_movie_assignment_tie_breaks_to_smaller_person_id():
         [(1, 10), (1, 11), (2, 10), (2, 11),
          (3, 20), (3, 21), (4, 20), (4, 21),
          (2, 99), (3, 99)])
-    gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(2)))
+    gr = RecommenderGraph(g, apply_jump(g, 2))
     report = connected_components(gr)
     comps = {(p, m) for p, m in report.component_sizes}
     assert comps == {(2, 3), (2, 2)}
@@ -115,7 +113,7 @@ def test_movie_assignment_tie_breaks_to_smaller_person_id():
 
 def test_unrated_movie_is_own_component():
     g = BipartiteRatings([(1, 10)], people=[1], movies=[10, 11])
-    gr = RecommenderGraph(g, apply_jump(g, JumpSpec.skip()))
+    gr = RecommenderGraph(g, apply_jump(g, 1))
     report = connected_components(gr)
     assert (0, 1) in report.component_sizes
     assert 11 not in report.giant_movies
@@ -124,14 +122,14 @@ def test_unrated_movie_is_own_component():
 def test_two_person_toy_splits_at_width_two():
     g = BipartiteRatings([(1, 10), (2, 10)])
     for w, expected in ((1, 1), (2, 2)):
-        gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(w)))
+        gr = RecommenderGraph(g, apply_jump(g, w))
         assert len(connected_components(gr).component_sizes) == expected
 
 
 def test_components_conserve_people_and_movies():
     for seed in range(60):
         g = random_ratings(seed)
-        gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(2)))
+        gr = RecommenderGraph(g, apply_jump(g, 2))
         report = connected_components(gr)
         assert sum(p for p, _ in report.component_sizes) == g.n_people
         assert sum(m for _, m in report.component_sizes) == g.n_movies
@@ -190,7 +188,7 @@ def test_joint_distribution_chain():
 
 def test_joint_distribution_two_people_one_movie():
     g = BipartiteRatings([(1, 10), (2, 10)])
-    gr = RecommenderGraph(g, apply_jump(g, JumpSpec.skip()))
+    gr = RecommenderGraph(g, apply_jump(g, 1))
     joint = joint_degree_distribution(gr)
     assert joint.probabilities == {(1, 2): 2 / 3, (2, 0): 1 / 3}
 
@@ -198,7 +196,7 @@ def test_joint_distribution_two_people_one_movie():
 def test_joint_distribution_balance_and_sinks():
     for seed in range(40):
         g = random_ratings(seed)
-        gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(2)))
+        gr = RecommenderGraph(g, apply_jump(g, 2))
         joint = joint_degree_distribution(gr)
         pull = sum(j * p for (j, _), p in joint.probabilities.items())
         push = sum(k * p for (_, k), p in joint.probabilities.items())
@@ -214,7 +212,7 @@ def test_joint_distribution_matches_loop_oracle_in_order():
     for seed in range(80):
         g = random_ratings(seed)
         for w in (1, 2, 3):
-            gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(w)))
+            gr = RecommenderGraph(g, apply_jump(g, w))
             report = connected_components(gr)
             for largest_only, people, movies in (
                     (False, g.people.tolist(), g.movies.tolist()),
@@ -268,7 +266,7 @@ def test_l_r_l_pm_match_floyd_warshall_oracle():
     # directed oracle over the combined person+movie index space
     for seed in range(120):
         g = random_ratings(seed, max_people=14, max_movies=12)
-        gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(2)))
+        gr = RecommenderGraph(g, apply_jump(g, 2))
         people = [int(p) for p in g.people]
         movies = [int(m) for m in g.movies]
         pix, dist = recommender_distances(gr)
@@ -305,7 +303,7 @@ def test_path_means_match_floyd_warshall_past_one_word(giant, block_bytes, monke
     for seed, slab_levels in itertools.product(range(2), (metrics.BFS_SLAB_LEVELS, 0)):
         monkeypatch.setattr(metrics, "BFS_SLAB_LEVELS", slab_levels)
         g = ratings_with_giant(seed, giant)
-        gs = apply_jump(g, JumpSpec.skip())
+        gs = apply_jump(g, 1)
         gr = RecommenderGraph(g, gs)
         ids = [int(v) for v in gs.vertices]
         index = {v: i for i, v in enumerate(ids)}
@@ -350,7 +348,7 @@ def test_ring_lattice_l_pp_closed_form(n, k, block_bytes, monkeypatch):
 def test_mixture_identity_exact():
     for seed in range(60):
         g = random_ratings(seed)
-        gr = RecommenderGraph(g, apply_jump(g, JumpSpec.skip()))
+        gr = RecommenderGraph(g, apply_jump(g, 1))
         try:
             stats = measure_l_r_l_pm(gr)
         except UndefinedMetricError:
@@ -431,7 +429,7 @@ def test_sampled_sources_deterministic():
 
 def test_sampled_sources_in_recommender_graph():
     g = random_ratings(5, max_people=12)
-    gr = RecommenderGraph(g, apply_jump(g, JumpSpec.skip()))
+    gr = RecommenderGraph(g, apply_jump(g, 1))
     full = measure_l_r_l_pm(gr)
     if full.sources > 2:
         part = measure_l_r_l_pm(gr, max_sources=2, seed=1)

@@ -6,7 +6,6 @@ import pytest
 from recgraph import (
     DegenerateModelError,
     InvalidDistributionError,
-    JumpSpec,
     RecommenderGraph,
     apply_jump,
     joint_degree_distribution,
@@ -113,7 +112,7 @@ def test_directed_fixture_value():
 def test_directed_fixture_from_constructed_graph():
     # the same joint distribution arises from an actual dataset
     g = four_person_fixture()
-    gr = RecommenderGraph(g, apply_jump(g, JumpSpec.hammock(25)))
+    gr = RecommenderGraph(g, apply_jump(g, 25))
     joint = joint_degree_distribution(gr)
     assert joint.probabilities == four_person_joint().probabilities
     value = predict_l_r(joint)

@@ -14,7 +14,6 @@ PUBLIC = [
     "FitError",
     "GraphMismatchError",
     "InvalidDistributionError",
-    "JumpSpec",
     "ParseError",
     "RecgraphError",
     "RecommenderGraph",

@@ -31,6 +31,7 @@ from oracles import (
     adjacency,
     edge_ids,
     generate_oracle,
+    giant_people_oracle,
     movies_by_person,
     random_social,
     rewire_oracle,
@@ -425,6 +426,35 @@ def test_curve_unscaled_base_values():
     lattice = generate_wreath(12, 4)
     assert abs(measure_l_pp(lattice).l_pp - 21 / 11) < 1e-9
     assert clustering_coefficient(lattice) == 0.5
+
+
+def giant_clustering_oracle(gs):
+    """Mean over the giant's people of 2 * triangles / (d * (d - 1)), by brute force."""
+    adj = adjacency(gs)
+    giant = giant_people_oracle(gs)
+    total = 0.0
+    for v in giant:
+        nbrs = sorted(adj[v])
+        d = len(nbrs)
+        links = sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:] if b in adj[a])
+        total += 2.0 * links / (d * (d - 1)) if d >= 2 else 0.0
+    return total / len(giant)
+
+
+def test_giant_clustering_ignores_the_rest_of_a_disconnected_graph():
+    # a K4 on the smallest ids (every vertex clustered 1), a 7-vertex giant
+    # of two triangles on a path, and two isolated vertices
+    k4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    giant = [(10, 11), (11, 12), (10, 12), (12, 13), (13, 14), (14, 15), (13, 15), (15, 16)]
+    gs = SocialGraph([1, 2, 3, 4, 10, 11, 12, 13, 14, 15, 16, 30, 31], k4 + giant)
+    expected = giant_clustering_oracle(gs)
+    assert abs(synth._giant_clustering(gs) - expected) < 1e-12
+    # (1 + 1 + 1/3 + 1/3 + 1 + 1/3 + 0) / 7 over the giant; (4 + 4) / 13 over all
+    assert abs(expected - 4 / 7) < 1e-12
+    assert abs(clustering_coefficient(gs) - 8 / 13) < 1e-12
+    for seed in range(60):
+        gs = random_social(seed)
+        assert abs(synth._giant_clustering(gs) - giant_clustering_oracle(gs)) < 1e-12
 
 
 def test_curve_is_deterministic_and_ordered():
