@@ -54,7 +54,7 @@ class SocialGraph:
             self._ev = np.empty(0, dtype=np.int64)
         self._csr = None
         self._degrees = None
-        self._labels = None  # component label per vertex, filled by metrics
+        self._labels = None  # component labels, sizes and anchors, filled by metrics
         self._components = None  # ComponentReport, filled by metrics
 
     @classmethod

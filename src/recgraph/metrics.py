@@ -169,18 +169,24 @@ def connected_components(graph) -> ComponentReport:
     return graph._components
 
 
-def _component_report(social: SocialGraph, ratings) -> ComponentReport:
-    # a recommender graph's people partition as its social graph's do, so
-    # the reports of both share one labelling, kept on the social graph
+def _labelling(social: SocialGraph) -> tuple:
+    """(label per person, people per label, minimum person id per label), cached.
+
+    A recommender graph's people partition as its social graph's do, so the
+    reports of both read this one labelling, kept on the social graph.
+    """
     if social._labels is None:
-        social._labels = component_labels(social.n, social._eu, social._ev)
-    labels = social._labels
-    people = np.bincount(labels)
+        labels = component_labels(social.n, social._eu, social._ev)
+        # vertices are sorted, so a label's first index holds its minimum person id
+        _, first = np.unique(labels, return_index=True)
+        social._labels = labels, np.bincount(labels), social.vertices[first]
+    return social._labels
+
+
+def _component_report(social: SocialGraph, ratings) -> ComponentReport:
+    labels, people, anchor = _labelling(social)
     isolated = int(np.count_nonzero(people == 1))
     n_comp = len(people)
-    # vertices are sorted, so a label's first index holds its minimum person id
-    _, first = np.unique(labels, return_index=True)
-    anchor = social.vertices[first]
     movies = np.zeros(n_comp, dtype=np.int64)
     movie_ids = movie_label = np.empty(0, dtype=np.int64)
     if ratings is not None:

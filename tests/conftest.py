@@ -42,3 +42,17 @@ def eachmovie():
             "EachMovie data not found (expected $RECGRAPH_DATA/eachmovie.csv "
             "as person,movie CSV; the dataset is no longer distributed)")
     return load_ratings(path, GENERIC_CSV)
+
+
+@pytest.fixture(scope="session")
+def standin(tmp_path_factory):
+    """The benchmark's seeded ML-100k-shaped tab file (``perfbench/standins.py``, seed 0)."""
+    mp = pytest.MonkeyPatch()
+    mp.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    try:
+        import standins
+        path = tmp_path_factory.mktemp("standin") / "u.data"
+        standins.write_movielens(standins.ML100K, 0, path)
+    finally:
+        mp.undo()
+    return path

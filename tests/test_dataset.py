@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,8 +162,9 @@ def test_generic_csv_skips_byte_order_mark(tmp_path):
     assert edge_ids(g) == [(1, 10), (2, 10)]
 
 
-# Tab files the columnar parse must read exactly as the row-wise oracle does:
-# the same graph, or the same exception type, line number and message.
+# Tab files the loader must read exactly as the row-wise oracle does, by the
+# byte scan or the row scan: the same graph, or the same exception type, line
+# number and message.
 TAB_CASES = {
     "plain": "1\t10\t5\t874965758\n2\t10\t3\t876893171\n1\t11\t4\t878542960\n",
     "no_final_newline": "1\t10\t5\t0\n2\t11\t4\t1",
@@ -249,6 +251,178 @@ def test_seeded_tab_files_match_row_oracle(tmp_path, monkeypatch, block_chars):
     for seed in range(60):
         path.write_bytes(_seeded_tab_file(seed).encode("utf-8"))
         _assert_tab_parse_matches_oracle(path)
+
+
+def _forbid_row_scan(monkeypatch):
+    def row_scan(path):
+        raise AssertionError(f"{path} left the byte scan")
+    monkeypatch.setattr(dataset, "_scan_tab_rows", row_scan)
+
+
+def _count_row_scans(monkeypatch) -> list:
+    calls = []
+    scan = dataset._scan_tab_rows
+
+    def counted(path):
+        calls.append(path)
+        return scan(path)
+    monkeypatch.setattr(dataset, "_scan_tab_rows", counted)
+    return calls
+
+
+def test_standin_and_its_crlf_copy_load_by_the_byte_scan(standin, tmp_path, monkeypatch):
+    expected = load_movielens_tab_oracle(standin)
+    assert len(expected.edges) == 100_000
+    crlf = tmp_path / "u_crlf.data"
+    crlf.write_bytes(standin.read_bytes().replace(b"\n", b"\r\n"))
+    _forbid_row_scan(monkeypatch)
+    for path in (standin, crlf):
+        assert ratings_of(load_ratings(path, MOVIELENS_TAB)) == expected
+
+
+@pytest.mark.parametrize("rating, strict", [
+    ("4", True), ("4.5", True), ("10.25", True), (".5", False), ("5.", False),
+    ("4..5", False), ("1.2.3", False), (".", False), ("4.5.", False), ("4.5e1", False),
+])
+def test_rating_grammar(tmp_path, monkeypatch, rating, strict):
+    calls = _count_row_scans(monkeypatch)
+    path = tmp_path / "u.data"
+    path.write_bytes(f"1\t10\t5\t0\n2\t10\t{rating}\t0\n".encode())
+    _assert_tab_parse_matches_oracle(path)
+    assert calls == ([] if strict else [path])
+
+
+@pytest.mark.parametrize("text", ["1\t1\r0\t5\t0\n", "1\t10\t5\t0\r\r\n2\t3\t1\t0\n", "1\t10\t5\t0\r"])
+def test_cr_outside_crlf_matches_oracle(tmp_path, text):
+    path = tmp_path / "u.data"
+    path.write_bytes(text.encode())
+    _assert_tab_parse_matches_oracle(path)
+
+
+@pytest.mark.parametrize("block_chars", [dataset.LOAD_BLOCK_CHARS, 16])
+@pytest.mark.parametrize("name, strict", [
+    ("plain", True), ("no_final_newline", True), ("crlf", True), ("duplicates", True),
+    ("empty", True), ("int_syntax", False), ("lone_cr", False), ("timestamp_past_int64", False),
+])
+def test_only_lenient_syntax_reaches_the_row_scan(tmp_path, monkeypatch, name, strict, block_chars):
+    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
+    calls = _count_row_scans(monkeypatch)
+    path = tmp_path / "u.data"
+    path.write_bytes(TAB_CASES[name].encode("utf-8"))
+    _assert_tab_parse_matches_oracle(path)
+    assert calls == ([] if strict else [path])
+
+
+@pytest.mark.parametrize("block_chars", [dataset.LOAD_BLOCK_CHARS, 16])
+def test_ids_of_18_and_19_digits(tmp_path, monkeypatch, block_chars):
+    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
+    calls = _count_row_scans(monkeypatch)
+    path = tmp_path / "u.data"
+    top = 2**63 - 1
+    eighteen = 10**18 - 1
+    path.write_bytes(f"1\t10\t5\t0\n{eighteen}\t{eighteen}\t5\t{eighteen}\n".encode())
+    _assert_tab_parse_matches_oracle(path)
+    assert ratings_of(load_ratings(path)).edges == [(1, 10), (eighteen, eighteen)]
+    assert calls == []  # 18 digits stay on the byte scan
+    path.write_bytes(f"1\t10\t5\t0\n{top}\t{top}\t5\t0\n".encode())
+    _assert_tab_parse_matches_oracle(path)
+    assert ratings_of(load_ratings(path)).edges == [(1, 10), (top, top)]
+    for row in (f"{top + 1}\t10\t5\t0", f"1\t{top + 1}\t5\t0"):
+        path.write_bytes(f"1\t10\t5\t0\n{row}\n".encode())
+        _assert_tab_parse_matches_oracle(path)
+        with pytest.raises(ParseError) as err:
+            load_ratings(path)
+        assert err.value.line_number == 2
+
+
+@pytest.mark.parametrize("block_chars", [16, 64])
+def test_line_longer_than_a_block(tmp_path, monkeypatch, block_chars):
+    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
+    long_line = f"{'7' * 18}\t{'0' * 17}3\t4.{'5' * 200}\t{'1' * 18}"
+    path = tmp_path / "u.data"
+    path.write_bytes(("\ufeff1\t10\t5\t0\r\n" + long_line + "\r\n\n2\t3\t1\t0").encode("utf-8"))
+    expected = ratings_oracle([(1, 10), (int("7" * 18), 3), (2, 3)])
+    _forbid_row_scan(monkeypatch)
+    assert ratings_of(load_ratings(path)) == expected
+
+
+def test_load_peak_memory_per_rating(tmp_path, monkeypatch):
+    # the loader peaked at 41.4 bytes a rating here (tracemalloc, numpy 2.4)
+    rng = np.random.default_rng(0)
+    n = 200_000
+    columns = (rng.integers(1, 6041, n), rng.integers(1, 3953, n), rng.integers(1, 6, n),
+               rng.integers(956_703_932, 1_046_454_590, n))
+    path = tmp_path / "u.data"
+    path.write_text("".join(map("{}\t{}\t{}\t{}\n".format, *(c.tolist() for c in columns))))
+    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", 64 << 10)
+    tracemalloc.start()
+    try:
+        g = load_ratings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count + g.duplicate_count == n
+    assert peak <= 64 * n
+
+
+# -- ids to indices -------------------------------------------------------------
+
+
+def _count_searchsorted(monkeypatch) -> list:
+    """(ids, endpoints) of every np.searchsorted call, as lists."""
+    calls = []
+    search = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        calls.append((np.asarray(a).tolist(), np.asarray(v).tolist()))
+        return search(a, v, *args, **kwargs)
+    monkeypatch.setattr(np, "searchsorted", counted)
+    return calls
+
+
+def test_sparse_ids_map_by_searchsorted(monkeypatch):
+    pairs = [(0, 1), (2**62, 2**40), (0, 2**40), (2**62, 1), (0, 1), (5, 2**40)]
+    calls = _count_searchsorted(monkeypatch)
+    g = BipartiteRatings(np.array(pairs, dtype=np.int64))
+    assert ratings_of(g) == ratings_oracle(pairs)
+    assert ([0, 5, 2**62], [p for p, _ in pairs]) in calls
+    assert ([1, 2**40], [m for _, m in pairs]) in calls
+
+
+def test_dense_ids_map_by_table(monkeypatch):
+    rng = random.Random("dense")
+    pairs = [(rng.randint(1, 30), rng.randint(1, 50)) for _ in range(200)]
+    calls = _count_searchsorted(monkeypatch)
+    g = BipartiteRatings(pairs)
+    assert ratings_of(g) == ratings_oracle(pairs)
+    assert calls == []
+
+
+def test_given_vertex_sets_with_unused_ids_match_oracle():
+    for seed in range(20):
+        rng = random.Random(f"given:{seed}")
+        n_people, n_movies = rng.randint(1, 60), rng.randint(1, 40)
+        pairs = [(rng.randint(1, n_people), rng.randint(1, n_movies))
+                 for _ in range(rng.randint(0, 3 * n_people))]
+        people, movies = list(range(1, n_people + 1)), list(range(1, n_movies + 1))
+        if seed % 2:  # an unused huge id sends the lookup to searchsorted
+            people.append(2**62)
+            movies.append(10**12)
+        g = BipartiteRatings(pairs, people=people, movies=movies)
+        assert ratings_of(g) == ratings_oracle(pairs, people=people, movies=movies)
+
+
+def test_lookup_table_never_sized_by_a_huge_id():
+    pairs = [(p, p % 7) for p in range(1000)]
+    for people, movies in (([*range(1000), 10**8], None), (None, [*range(7), 10**8])):
+        tracemalloc.start()
+        try:
+            g = BipartiteRatings(pairs, people=people, movies=movies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 1000
+        assert peak < 200 * len(pairs)  # a table over the ids would take 800 MB
 
 
 def test_array_and_pair_construction_match_oracle():

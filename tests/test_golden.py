@@ -1,19 +1,17 @@
 """Golden outputs: the SHA-256 of every CSV four small CLI runs write.
 
 The rating file is the benchmark's seeded ML-100k-shaped stand-in
-(``perfbench/standins.py``, seed 0), imported read-only.  The other CLI
-tests compare two runs of the same code; these digests pin the bytes
-themselves, so a rewrite that moves any output byte fails here.
+(``perfbench/standins.py``, seed 0), written by the ``standin`` fixture in
+``conftest.py``.  The other CLI tests compare two runs of the same code;
+these digests pin the bytes themselves, so a rewrite that moves any output
+byte fails here.
 """
 
 import hashlib
-from pathlib import Path
 
 import pytest
 
 from recgraph.cli import main
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 GOLDEN = {
     ("sweep", "sweep.csv"):
@@ -31,19 +29,6 @@ GOLDEN = {
     ("ws", "ws.csv"):
         "8243fb4809a77cab2485777b115433a42d68c22803b03c6dbf1a92fa5c39bc52",
 }
-
-
-@pytest.fixture(scope="module")
-def standin(tmp_path_factory):
-    mp = pytest.MonkeyPatch()
-    mp.syspath_prepend(str(PERFBENCH))
-    try:
-        import standins
-        path = tmp_path_factory.mktemp("golden") / "u.data"
-        standins.write_movielens(standins.ML100K, 0, path)
-    finally:
-        mp.undo()
-    return path
 
 
 def _runs(path):

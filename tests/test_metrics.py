@@ -135,6 +135,32 @@ def test_components_conserve_people_and_movies():
         assert sum(m for _, m in report.component_sizes) == g.n_movies
 
 
+def test_social_and_recommender_reports_share_one_labelling(monkeypatch):
+    labelled, reads = [], []
+    label = metrics.component_labels
+
+    def labelling(*args):
+        labelled.append(label(*args))
+        return labelled[-1]
+
+    def reading(fn):
+        def wrapper(values, *args, **kwargs):
+            reads.append(values)
+            return fn(values, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "component_labels", labelling)
+    monkeypatch.setattr(np, "bincount", reading(np.bincount))
+    monkeypatch.setattr(np, "unique", reading(np.unique))
+    g = random_ratings(3)
+    gs = apply_jump(g, 2)
+    gr = RecommenderGraph(g, gs)
+    assert connected_components(gr).isolated_people == connected_components(gs).isolated_people
+    assert len(labelled) == 1
+    # one count of people per label and one pass for the anchors, for both reports
+    assert sum(values is labelled[0] for values in reads) == 2
+
+
 def test_component_type_check():
     with pytest.raises(TypeError):
         connected_components("not a graph")
