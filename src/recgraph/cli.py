@@ -5,18 +5,22 @@ measured and predicted path lengths), ``synth-study`` (synthetic datasets
 across a kappa range), ``ws`` (ring-lattice rewiring curves), and ``cdf``
 (complementary degree CDFs per width).
 
-Every produced CSV is a pure function of (input, configuration, seed):
-comma-separated, header row, LF line endings, UTF-8, lengths at 6
-significant digits, counts as plain integers.  Exit codes: 0 success,
-1 input error (missing/malformed/empty dataset), 2 configuration error.
+Every produced CSV is a pure function of (input, configuration, seed), and
+every one is written by ``_write_csv``, the one place the format lives:
+comma-separated, header row, LF line endings, UTF-8, numbers at 6
+significant digits, counts as plain integers, an undefined value as an
+empty cell.  Exit codes: 0 success, 1 input error (missing/malformed/empty
+dataset), 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from .dataset import (
     FORMATS,
@@ -37,9 +41,7 @@ from .errors import (
 from .jumps import RecommenderGraph, apply_jump, co_rating_pairs
 from .metrics import (
     connected_components,
-    csv_float,
     degree_cdf,
-    degree_cdf_csv,
     degree_distribution,
     joint_degree_distribution,
     linf_discrepancy,
@@ -202,21 +204,29 @@ def _load_dataset(cfg: RunConfig):
     return load_ratings(cfg.input, cfg.format)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    path = Path(cfg.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def csv_float(x) -> str:
+    """Render a value for CSV: 6 significant digits, ints plain, None empty."""
+    if x is None:
+        return ""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".6g")
 
 
-def _write_text(path: Path, text: str):
+def _write_csv(path: Path, header, rows):
+    """Write a header and rows of cells, strings as they are and the rest
+    through csv_float, creating the output directory; print where."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        for row in [header, *rows]:
+            fh.write(",".join(c if isinstance(c, str) else csv_float(c) for c in row) + "\n")
+    print(f"wrote {path}")
 
 
 # -- sweep core (shared with tests) --------------------------------------------
 
 
-def sweep_rows(g, w_min, w_max, max_sources=None, seed=0, warn=None):
+def sweep_rows(g, w_min, w_max, max_sources=None, seed=0):
     """Measure and predict across hammock widths; one SweepRow per width.
 
     Measured l_pp comes from the social graph's giant component; l_r and
@@ -224,12 +234,9 @@ def sweep_rows(g, w_min, w_max, max_sources=None, seed=0, warn=None):
     person-to-person distances in G_r are the social distances, and one
     distance pass gives all three whenever both giants hold the same people.
     Predictions use the giant component's degree distributions; degenerate
-    models leave their columns empty.  ``warn`` (a callable) hears about
-    widths where the giant covers under 90% of the vertices, where
-    predictions degrade.
+    models leave their columns empty.
     """
     pairs = co_rating_pairs(g)
-    total_vertices = g.n_people + g.n_movies
     rows = []
     for w in range(w_min, w_max + 1):
         gs = apply_jump(g, w, pairs)
@@ -272,12 +279,6 @@ def sweep_rows(g, w_min, w_max, max_sources=None, seed=0, warn=None):
         if l_r_p is not None and l_pp_p is not None and n_gm >= 1 and n_gp >= 2:
             l_pm_p = predict_l_pm(l_r_p, l_pp_p, n_gp, n_gm)
 
-        if warn is not None and (l_pp_p is not None or l_r_p is not None):
-            coverage = (n_gp + n_gm) / total_vertices if total_vertices else 0.0
-            if coverage < 0.9:
-                warn(f"w={w}: giant component covers {100 * coverage:.1f}% of vertices; "
-                     "predictions degrade outside the giant")
-
         rows.append(SweepRow(
             w=w,
             components=len(report.component_sizes),
@@ -293,16 +294,6 @@ def sweep_rows(g, w_min, w_max, max_sources=None, seed=0, warn=None):
             sampled_sources=sampled,
         ))
     return rows
-
-
-def sweep_csv(rows) -> str:
-    """One column per SweepRow field: numbers through csv_float, strings as they are."""
-    names = [f.name for f in fields(SweepRow)]
-    lines = [",".join(names)]
-    for r in rows:
-        values = (getattr(r, name) for name in names)
-        lines.append(",".join(v if isinstance(v, str) else csv_float(v) for v in values))
-    return "\n".join(lines) + "\n"
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -336,25 +327,29 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     g = _load_dataset(cfg)
-    rows = sweep_rows(g, cfg.w_min, cfg.w_max, cfg.max_sources, cfg.seed,
-                      warn=lambda msg: print(msg, file=sys.stderr))
-    path = _out_dir(cfg) / "sweep.csv"
-    _write_text(path, sweep_csv(rows))
-    print(f"wrote {path}")
+    rows = sweep_rows(g, cfg.w_min, cfg.w_max, cfg.max_sources, cfg.seed)
+    for row in rows:
+        # predictions come from the giant's degrees, so they degrade where it is thin
+        coverage = (row.giant_people + row.giant_movies) / (g.n_people + g.n_movies)
+        if coverage < 0.9 and (row.l_pp_predicted is not None or row.l_r_predicted is not None):
+            print(f"w={row.w}: giant component covers {100 * coverage:.1f}% of vertices; "
+                  "predictions degrade outside the giant", file=sys.stderr)
+    _write_csv(Path(cfg.out) / "sweep.csv", [f.name for f in fields(SweepRow)],
+               [astuple(row) for row in rows])
     return 0
 
 
 def cmd_synth_study(cfg: RunConfig) -> int:
     lengths = [f.name for f in fields(SweepRow) if f.name.startswith("l_")]
-    study_lines = ["kappa,epsilon,w," + ",".join(lengths) + ",defined_trials"]
-    linf_lines = ["kappa,epsilon,linf_l_pp"]
+    study_rows = []
+    linf_rows = []
     widths = range(cfg.w_min, cfg.w_max + 1)
     for kappa in range(cfg.kappa_min, cfg.kappa_max + 1):
         try:
             eps = calibrate_epsilon(kappa, cfg.n_people, cfg.n_movies)
         except ValueError as exc:
             print(f"warning: kappa={kappa} skipped: {exc}", file=sys.stderr)
-            linf_lines.append(f"{kappa},,")
+            linf_rows.append((kappa, None, None))
             continue
         per_w = {w: {name: [] for name in lengths} for w in widths}
         for trial in range(cfg.trials):
@@ -379,55 +374,46 @@ def cmd_synth_study(cfg: RunConfig) -> int:
             }
             measured_avg.append(averages["l_pp_measured"])
             predicted_avg.append(averages["l_pp_predicted"])
-            study_lines.append(",".join(
-                [str(kappa), csv_float(eps), str(w)]
-                + [csv_float(averages[name]) for name in lengths]
-                + [str(len(bucket["l_pp_measured"]))]
-            ))
+            study_rows.append((kappa, eps, w, *(averages[name] for name in lengths),
+                               len(bucket["l_pp_measured"])))
         try:
             linf = linf_discrepancy(measured_avg, predicted_avg)
         except UndefinedMetricError:
             linf = None
-        linf_lines.append(f"{kappa},{csv_float(eps)},{csv_float(linf)}")
-    out = _out_dir(cfg)
-    _write_text(out / "synth_study.csv", "\n".join(study_lines) + "\n")
-    _write_text(out / "synth_linf.csv", "\n".join(linf_lines) + "\n")
-    print(f"wrote {out / 'synth_study.csv'}")
-    print(f"wrote {out / 'synth_linf.csv'}")
+        linf_rows.append((kappa, eps, linf))
+    out = Path(cfg.out)
+    _write_csv(out / "synth_study.csv", ["kappa", "epsilon", "w", *lengths, "defined_trials"],
+               study_rows)
+    _write_csv(out / "synth_linf.csv", ["kappa", "epsilon", "linf_l_pp"], linf_rows)
     return 0
 
 
 def cmd_ws(cfg: RunConfig) -> int:
     modes = REWIRE_MODES if cfg.mode == "both" else (cfg.mode,)
-    lines = ["p,l_ratio,c_ratio,mode"]
+    rows = []
     for mode in modes:
         try:
             wreath_cfg = WreathConfig(n=cfg.n, k=cfg.k, seed=cfg.seed, mode=mode)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         for point in small_world_curve(wreath_cfg, cfg.p_values, cfg.trials):
-            lines.append(f"{csv_float(point.p)},{csv_float(point.l_ratio)},"
-                         f"{csv_float(point.c_ratio)},{mode}")
-    path = _out_dir(cfg) / "ws.csv"
-    _write_text(path, "\n".join(lines) + "\n")
-    print(f"wrote {path}")
+            rows.append((point.p, point.l_ratio, point.c_ratio, mode))
+    _write_csv(Path(cfg.out) / "ws.csv", ["p", "l_ratio", "c_ratio", "mode"], rows)
     return 0
 
 
 def cmd_cdf(cfg: RunConfig) -> int:
     g = _load_dataset(cfg)
     pairs = co_rating_pairs(g)
-    out = _out_dir(cfg)
+    header = ["degree", "log10_count" if cfg.log_scale else "count"]
     for w in range(cfg.w_min, cfg.w_max + 1):
         gs = apply_jump(g, w, pairs)
         try:
             dist = degree_distribution(gs, largest_only=cfg.largest_only)
         except UndefinedMetricError:
             continue
-        entries = degree_cdf(dist, log_scale=cfg.log_scale)
-        path = out / f"cdf_w{w:02d}.csv"
-        _write_text(path, degree_cdf_csv(entries, log_scale=cfg.log_scale))
-        print(f"wrote {path}")
+        _write_csv(Path(cfg.out) / f"cdf_w{w:02d}.csv", header,
+                   degree_cdf(dist, log_scale=cfg.log_scale))
     return 0
 
 

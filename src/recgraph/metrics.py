@@ -281,20 +281,17 @@ def joint_degree_distribution(gr: RecommenderGraph, largest_only=False) -> Joint
 
 
 def _pick_sources(candidates, max_sources, seed):
-    """Exact sources up to the limit, else a seeded uniform sample.
+    """Every candidate up to a limit, else a seeded uniform sample of a count.
 
-    ``max_sources=None`` applies the default policy: exact through
-    EXACT_SOURCE_LIMIT people, then DEFAULT_SAMPLED_SOURCES samples.
+    ``max_sources`` is both the limit and the count; None applies the
+    default policy: exact through EXACT_SOURCE_LIMIT people, then
+    DEFAULT_SAMPLED_SOURCES samples.
     """
+    limit, count = ((EXACT_SOURCE_LIMIT, DEFAULT_SAMPLED_SOURCES) if max_sources is None
+                    else (max_sources, max_sources))
     ordered = sorted(candidates)
-    if max_sources is None:
-        if len(ordered) <= EXACT_SOURCE_LIMIT:
-            return ordered, False
-        count = DEFAULT_SAMPLED_SOURCES
-    elif len(ordered) <= max_sources:
+    if len(ordered) <= limit:
         return ordered, False
-    else:
-        count = max_sources
     rng = random.Random(f"sources:{seed}")
     return sorted(rng.sample(ordered, count)), True
 
@@ -538,22 +535,3 @@ def linf_discrepancy(a, b) -> float:
     if not gaps:
         raise UndefinedMetricError("no overlapping entries to compare")
     return max(gaps)
-
-
-# -- CSV rendering ------------------------------------------------------------------
-
-
-def csv_float(x) -> str:
-    """Render a value for CSV: 6 significant digits, ints plain, None empty."""
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".6g")
-
-
-def degree_cdf_csv(entries, log_scale=False) -> str:
-    header = "degree,log10_count" if log_scale else "degree,count"
-    lines = [header]
-    lines.extend(f"{k},{csv_float(c)}" for k, c in entries)
-    return "\n".join(lines) + "\n"

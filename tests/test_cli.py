@@ -19,14 +19,21 @@ from recgraph.dataset import BipartiteRatings
 from recgraph.cli import (
     DEFAULTS,
     RunConfig,
+    _write_csv,
+    csv_float,
     load_config_file,
     main,
     resolve_config,
-    sweep_csv,
     sweep_rows,
 )
 
-from oracles import load_movielens_tab_oracle, write_movielens_tab
+from oracles import (
+    floyd_warshall,
+    hammock_edges_bruteforce,
+    load_movielens_tab_oracle,
+    mean_over_pairs,
+    write_movielens_tab,
+)
 
 
 def write_tab(path, rows):
@@ -185,6 +192,69 @@ def test_sweep_analyses_each_width_once(monkeypatch):
     assert len(raters) == 3 and all(rows is raters[0] for rows in raters)
 
 
+def write_weighted_path(path, shared):
+    """People 1, 2, ... in a row; neighbours i and i + 1 co-rate shared[i - 1] movies."""
+    rows = []
+    movie = 0
+    for person, count in enumerate(shared, 1):
+        for _ in range(count):
+            movie += 1
+            rows += [(person, movie), (person + 1, movie)]
+    write_tab(path, rows)
+
+
+def oracle_giant_and_l_pp(g, w, max_sources):
+    """The social giant at width w and its mean distance from the sources
+    ``_pick_sources`` takes, by brute-force hammock and Floyd-Warshall."""
+    people = g.people.tolist()
+    index = {p: i for i, p in enumerate(people)}
+    arcs = [(index[u], index[v]) for u, v in hammock_edges_bruteforce(g, w)]
+    dist = floyd_warshall(len(people), arcs, directed=False)
+    groups = {tuple(np.flatnonzero(np.isfinite(row)).tolist()) for row in dist}
+    giant = [people[i] for i in min(groups, key=lambda grp: (-len(grp), grp[0]))]
+    sources, _ = metrics._pick_sources(giant, max_sources, 0)
+    l_pp, _ = mean_over_pairs(dist, [index[p] for p in sources], range(len(people)))
+    return giant, l_pp
+
+
+def test_sweep_samples_sources_of_a_giant_past_the_cap(tmp_path, capsys, monkeypatch):
+    # neighbours on a path of ten people co-rate 3, 3, 2, 3, 3, 3, 1, 3, 3
+    # movies, so the giant holds 10, 7, 4 and 1 people at widths 1 to 4
+    path = tmp_path / "path.tsv"
+    write_weighted_path(path, [3, 3, 2, 3, 3, 3, 1, 3, 3])
+    loaded = load_movielens_tab_oracle(path)
+    g = BipartiteRatings(loaded.edges, people=loaded.people, movies=loaded.movies)
+
+    def sweep(out, *flags):
+        assert main(["sweep", "--input", str(path), "--w-min", "1", "--w-max", "4",
+                     "--out", str(out), *flags]) == 0
+        capsys.readouterr()
+        return (out / "sweep.csv").read_bytes()
+
+    def assert_sampled(csv_bytes, max_sources, count):
+        lines = csv_bytes.decode("utf-8").splitlines()
+        header = lines[0].split(",")
+        sizes = []
+        for w, line in enumerate(lines[1:], 1):
+            row = dict(zip(header, line.split(",")))
+            giant, l_pp = oracle_giant_and_l_pp(g, w, max_sources)
+            sizes.append(len(giant))
+            assert row["giant_people"] == str(len(giant))
+            assert row["sampled_sources"] == (count if len(giant) > 5 else "all")
+            assert row["l_pp_measured"] == csv_float(l_pp)
+        assert sizes == [10, 7, 4, 1]
+
+    capped = sweep(tmp_path / "a", "--max-sources", "5")
+    assert sweep(tmp_path / "b", "--max-sources", "5") == capped
+    assert_sampled(capped, 5, "5")
+    # pinned: another draw from the same seed would move every sampled CSV
+    assert metrics._pick_sources(range(1, 11), 5, 0) == ([1, 6, 7, 8, 9], True)
+    # the default policy: exact through EXACT_SOURCE_LIMIT people, then a sample
+    monkeypatch.setattr(metrics, "EXACT_SOURCE_LIMIT", 5)
+    monkeypatch.setattr(metrics, "DEFAULT_SAMPLED_SOURCES", 3)
+    assert_sampled(sweep(tmp_path / "c"), None, "3")
+
+
 # -- offline stand-in, end to end -------------------------------------------------
 
 
@@ -222,19 +292,53 @@ def test_standin_sweep_and_stats_match_oracle_loaded_graph(tmp_path, capsys, mon
     # built from deduplicated edges, so it takes the oracle's count of collapsed rows
     oracle_graph.duplicate_count = loaded.duplicate_count
 
-    assert main(["sweep", "--input", str(path), "--w-min", "1", "--w-max", "12",
-                 "--out", str(tmp_path / "out")]) == 0
-    capsys.readouterr()
+    def sweep(out):
+        assert main(["sweep", "--input", str(path), "--w-min", "1", "--w-max", "12",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        return (out / "sweep.csv").read_bytes()
+
+    swept = sweep(tmp_path / "loaded")
     assert main(["stats", "--input", str(path)]) == 0
     stats_out = capsys.readouterr().out
 
-    swept = (tmp_path / "out" / "sweep.csv").read_text(encoding="utf-8")
-    assert swept == sweep_csv(sweep_rows(oracle_graph, 1, 12))
     monkeypatch.setattr(recgraph.cli, "load_ratings", lambda *args: oracle_graph)
+    assert sweep(tmp_path / "oracle") == swept
     assert main(["stats", "--input", str(path)]) == 0
     assert capsys.readouterr().out == stats_out
     assert "duplicate rows: 1\n" in stats_out
     assert f"people: {len(loaded.people)}\n" in stats_out
+
+
+# -- CSV format --------------------------------------------------------------------
+
+
+def test_csv_float():
+    assert csv_float(None) == ""
+    assert csv_float(2) == "2"
+    assert csv_float(np.int64(123456789)) == "123456789"
+    assert csv_float(1.234567890) == "1.23457"
+    assert csv_float(2.0) == "2"
+
+
+def test_write_csv_bytes(tmp_path, capsys):
+    path = tmp_path / "new" / "t.csv"
+    _write_csv(path, ["mode", "count", "length", "ratio"],
+               [("uniform", 1234567, 1.234567890, None), ("a b", np.int64(7), 2.0, 1e-7)])
+    assert path.read_bytes() == (b"mode,count,length,ratio\n"
+                                 b"uniform,1234567,1.23457,\n"
+                                 b"a b,7,2,1e-07\n")
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    # the path 1-2-3: two people of degree 1 and one of degree 2
+    toy = tmp_path / "toy.tsv"
+    write_tab(toy, [(1, 7), (2, 7), (2, 8), (3, 8)])
+    for flags, text in (([], b"degree,count\n1,3\n2,1\n"),
+                        (["--log"], b"degree,log10_count\n1,0.477121\n2,0\n")):
+        out = tmp_path / f"cdf{len(flags)}"
+        assert main(["cdf", "--input", str(toy), "--w-min", "1", "--w-max", "1",
+                     "--out", str(out), *flags]) == 0
+        assert capsys.readouterr().out == f"wrote {out / 'cdf_w01.csv'}\n"
+        assert (out / "cdf_w01.csv").read_bytes() == text
 
 
 # -- config handling ---------------------------------------------------------------
@@ -328,12 +432,15 @@ def test_malformed_input_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# An undecodable byte, or an id past int64, on a line after a good one.
+# A bad row after a good one: an undecodable byte, an id past int64, or
+# (CSV) a row of the wrong width or with a rating that is not a number.
 BAD_ROWS = {
     ("movielens", "invalid_utf8"): (b"1\t10\t5\t0\n\xff\t2\t3\t0\n", 2),
     ("movielens", "id_past_int64"): (b"1\t10\t5\t0\n123456789012345678901\t2\t3\t0\n", 2),
     ("csv", "invalid_utf8"): (b"person,movie\n1,10\n2,\xff\n", 3),
     ("csv", "id_past_int64"): (b"person,movie\n1,10\n2,123456789012345678901\n", 3),
+    ("csv", "wrong_field_count"): (b"person,movie\n1,10\n2,3,4\n", 3),
+    ("csv", "rating_not_numeric"): (b"person,movie,rating\n1,10,5\n2,3,x\n", 3),
 }
 
 
@@ -348,6 +455,17 @@ def test_undecodable_or_oversized_id_exits_1_at_its_line(tmp_path, capsys, fmt, 
         assert rc == 1
         assert err.startswith(f"error: {path}:{line}: ")
         assert "Traceback" not in err
+
+
+def test_csv_empty_file_exits_1_and_blank_rows_are_skipped(tmp_path, capsys):
+    path = tmp_path / "ratings.csv"
+    path.write_bytes(b"")
+    assert main(["stats", "--input", str(path), "--format", "csv"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: empty file\n"
+    path.write_bytes(b"person,movie\n1,10\n\n2,10\n")
+    assert main(["stats", "--input", str(path), "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert "people: 2\n" in out and "edges: 2\n" in out
 
 
 def test_inverted_width_range_exits_2(tmp_path, capsys):

@@ -21,9 +21,7 @@ from recgraph.metrics import (
     _pick_sources,
     clustering_coefficient,
     connected_components,
-    csv_float,
     degree_cdf,
-    degree_cdf_csv,
     degree_distribution,
     linf_discrepancy,
 )
@@ -549,17 +547,3 @@ def test_linf_matches_scan_oracle():
         b = [rng.uniform(-5, 5) for _ in range(n)]
         best = max(abs(x - y) for x, y in zip(a, b))
         assert abs(linf_discrepancy(a, b) - best) < 1e-12
-
-
-def test_csv_float():
-    assert csv_float(None) == ""
-    assert csv_float(2) == "2"
-    assert csv_float(1.234567890) == "1.23457"
-    assert csv_float(2.0) == "2"
-
-
-def test_csv_renderers():
-    cdf_text = degree_cdf_csv([(1, 10), (2, 5)])
-    assert cdf_text == "degree,count\n1,10\n2,5\n"
-    log_text = degree_cdf_csv([(1, 2.0)], log_scale=True)
-    assert log_text.splitlines()[0] == "degree,log10_count"
