@@ -104,7 +104,7 @@ class SweepRow:
     l_pp_predicted: float | None
     l_r_predicted: float | None
     l_pm_predicted: float | None
-    sampled_sources: str  # "all" or the sampled source count
+    sampled_sources: str  # "all", or the count either distance pass sampled
 
 
 # -- configuration plumbing ---------------------------------------------------
@@ -236,10 +236,10 @@ def sweep_rows(g, w_min, w_max, max_sources=None, seed=0):
     Predictions use the giant component's degree distributions; degenerate
     models leave their columns empty.
     """
-    pairs = co_rating_pairs(g)
+    table = co_rating_pairs(g)
     rows = []
     for w in range(w_min, w_max + 1):
-        gs = apply_jump(g, w, pairs)
+        gs = apply_jump(g, w, table)
         gr = RecommenderGraph(g, gs)
         report = connected_components(gr)
         n_gp = len(report.giant_people)
@@ -404,10 +404,10 @@ def cmd_ws(cfg: RunConfig) -> int:
 
 def cmd_cdf(cfg: RunConfig) -> int:
     g = _load_dataset(cfg)
-    pairs = co_rating_pairs(g)
+    table = co_rating_pairs(g)
     header = ["degree", "log10_count" if cfg.log_scale else "count"]
     for w in range(cfg.w_min, cfg.w_max + 1):
-        gs = apply_jump(g, w, pairs)
+        gs = apply_jump(g, w, table)
         try:
             dist = degree_distribution(gs, largest_only=cfg.largest_only)
         except UndefinedMetricError:

@@ -161,9 +161,9 @@ def _vertex_ids(endpoints, given, side) -> np.ndarray:
 
 # -- parsing -------------------------------------------------------------
 
-# Bytes read at a time by the tab loader; ML-100k (2 MB) is one block, and
-# memory stays bounded as files grow.
-LOAD_BLOCK_CHARS = 8 << 20
+# Bytes read at a time by the tab loader; a block's index arrays stay in
+# cache (ML-100k is eight blocks), and memory stays bounded as files grow.
+LOAD_BLOCK_CHARS = 256 << 10
 
 
 # Largest person or movie id; ids are stored as int64.

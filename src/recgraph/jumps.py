@@ -5,7 +5,8 @@ whose edges connect people with sufficiently overlapping taste, plus a
 directed recommender graph G_r that keeps the movies reachable from that
 social structure.  A jump is its width w, the hammock of width w: it
 connects two people when they co-rated at least w movies.  Width 1 is the
-skip jump, which links every pair of co-raters.
+skip jump, which links every pair of co-raters.  Widths nest, so each
+width's social graph is cut from one width-1 arc table (co_rating_pairs).
 
 In G_r every social edge contributes arcs in both directions and every
 rating contributes one person -> movie arc.  Movies have no outgoing arcs,
@@ -17,11 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import BipartiteRatings
-from .edges import csr
+from .edges import Csr, csr
 from .errors import GraphMismatchError, UnknownNodeError
 
 # Byte budget for one block of co-rating counts: its rows of people times
-# the people from the block's first row on, at the incidence's item size.
+# every person, at the incidence's item size.
 CO_RATING_BLOCK_BYTES = 16 << 20
 
 
@@ -30,7 +31,8 @@ class SocialGraph:
 
     This is the shape of the person-person graph a jump induces (isolated
     people stay as vertices) and doubles as the container for ring-lattice
-    graphs.  Immutable after construction.
+    graphs.  It holds its symmetric adjacency rows over vertex indices,
+    and reads its degrees and edges off them.  Immutable after construction.
     """
 
     def __init__(self, vertices, edges=()):
@@ -42,30 +44,21 @@ class SocialGraph:
             if a == b:
                 raise ValueError(f"self-loop on vertex {a}")
             try:
-                ia, ib = index[a], index[b]
+                pairs.add((index[a], index[b]))
+                pairs.add((index[b], index[a]))
             except KeyError as missing:
                 raise UnknownNodeError(f"edge endpoint not a vertex: {missing.args[0]}") from None
-            pairs.add((ia, ib) if ia < ib else (ib, ia))
-        if pairs:
-            arr = np.array(sorted(pairs), dtype=np.int64)
-            self._eu, self._ev = arr[:, 0], arr[:, 1]
-        else:
-            self._eu = np.empty(0, dtype=np.int64)
-            self._ev = np.empty(0, dtype=np.int64)
-        self._csr = None
-        self._degrees = None
+        tails, heads = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+        self._rows = csr(self.n, tails, heads)
         self._labels = None  # component labels, sizes and anchors, filled by metrics
         self._components = None  # ComponentReport, filled by metrics
 
     @classmethod
-    def _from_arrays(cls, vertex_ids, eu, ev):
-        """Trusted path: vertex_ids sorted unique, eu < ev, lexsorted, deduped."""
+    def _from_rows(cls, vertex_ids, indptr, indices):
+        """Trusted path: vertex_ids sorted unique, rows symmetric, sorted, loop-free."""
         g = cls.__new__(cls)
         g.vertices = np.asarray(vertex_ids, dtype=np.int64)
-        g._eu = np.asarray(eu, dtype=np.int64)
-        g._ev = np.asarray(ev, dtype=np.int64)
-        g._csr = None
-        g._degrees = None
+        g._rows = Csr(indptr, indices)
         g._labels = None
         g._components = None
         return g
@@ -78,7 +71,7 @@ class SocialGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._eu)
+        return len(self._rows.indices) // 2
 
     def __repr__(self):
         return f"SocialGraph(n={self.n}, edges={self.edge_count})"
@@ -86,62 +79,73 @@ class SocialGraph:
     # -- access ------------------------------------------------------------
 
     def degrees(self) -> np.ndarray:
-        """Degree per vertex, aligned with ``self.vertices`` (cached)."""
-        if self._degrees is None:
-            self._degrees = np.bincount(np.concatenate([self._eu, self._ev]), minlength=self.n)
-        return self._degrees
+        """Degree per vertex, aligned with ``self.vertices``."""
+        return np.diff(self._rows.indptr)
 
-    def adjacency_csr(self):
-        """Symmetric adjacency rows over vertex indices (cached); see ``edges.Csr``."""
-        if self._csr is None:
-            self._csr = csr(self.n, np.concatenate([self._eu, self._ev]),
-                            np.concatenate([self._ev, self._eu]))
-        return self._csr
+    def adjacency_csr(self) -> Csr:
+        """Symmetric adjacency rows over vertex indices, each row ascending."""
+        return self._rows
+
+    def edges(self):
+        """The edges as index arrays (u, v) with u < v, ascending by (u, v)."""
+        tails = np.repeat(np.arange(self.n), self.degrees())
+        upper = tails < self._rows.indices
+        return tails[upper], self._rows.indices[upper]
 
 
 # -- jump application -------------------------------------------------------
 
 
 def co_rating_pairs(g: BipartiteRatings):
-    """All person index pairs sharing at least one movie, with shared counts.
+    """The width-1 arc table: (count, rows) over indices into ``g.people``.
 
-    Returns (iu, iv, count) arrays with iu < iv over indices into
-    ``g.people``, ordered by (iu, iv); iu and iv are int64, count int32.
-    The counts come from a dense float32 product of the person x movie
-    incidence with itself, one block of people at a time: the block's rows
-    times every later person's row, of which the strict upper triangle is
-    kept.  Every partial sum is a whole number no larger than
-    ``g.n_movies``, so float32 counts are exact below 2**24 movies (float64
-    is used above that).  The incidence takes n_people x n_movies x 4 bytes;
-    each block product stays within CO_RATING_BLOCK_BYTES (or one row of
-    people, when that is more).
+    Row i of ``rows`` (an ``edges.Csr``) lists, ascending, the people who
+    share a movie with person i, and ``count`` (int32) holds each arc's
+    shared count; an arc i -> j and its twin j -> i share one.  The counts
+    come from a dense float32 product of the person x movie incidence with
+    itself, one block of people at a time, diagonal cleared, whose nonzeros
+    in row-major order are the arcs.  Every partial sum is a whole number
+    no larger than ``g.n_movies``, so float32 counts are exact below 2**24
+    movies (float64 is used above that).  The incidence takes n_people x
+    n_movies x 4 bytes; each block product stays within
+    CO_RATING_BLOCK_BYTES (or one row of people, when that is more).
     """
     n = g.n_people
     dtype = np.float32 if g.n_movies < 2**24 else np.float64
     inc = np.zeros((n, g.n_movies), dtype=dtype)
     inc[g.edge_person_idx, g.edge_movie_idx] = 1
     step = max(1, CO_RATING_BLOCK_BYTES // (inc.itemsize * max(n, 1)))
-    parts = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0, dtype=np.int32),)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    heads, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int32)]
     for a in range(0, n, step):
-        block = np.triu(inc[a:a + step] @ inc[a:].T, 1)
-        r, c = np.nonzero(block)  # row-major, so the pairs come out ordered
-        parts.append((r + a, c + a, block[r, c].astype(np.int32)))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+        block = inc[a:a + step] @ inc.T
+        own = np.arange(a, a + len(block))
+        block[own - a, own] = 0
+        flat = np.flatnonzero(block)
+        counts.append(block.ravel()[flat].astype(np.int32))
+        indptr[own + 1] = np.count_nonzero(block, axis=1)
+        heads.append(np.remainder(flat, n, out=flat))
+        del block  # the last block and the incidence go before the concatenation
+    del inc
+    np.cumsum(indptr, out=indptr)
+    return np.concatenate(counts), Csr(indptr, np.concatenate(heads))
 
 
-def apply_jump(g: BipartiteRatings, width: int, pairs=None) -> SocialGraph:
+def apply_jump(g: BipartiteRatings, width: int, table=None) -> SocialGraph:
     """Induce the social graph of the jump with the given width.
 
     Two people are linked when they co-rated at least ``width`` movies, a
     positive int.  Every person stays a vertex even when isolated.
-    ``pairs`` may carry a precomputed :func:`co_rating_pairs` result so a
+    ``table`` may carry a precomputed :func:`co_rating_pairs` result so a
     sweep over widths pays the counting cost once.
     """
     if not isinstance(width, int) or width < 1:
         raise ValueError("width must be a positive integer")
-    iu, iv, cnt = pairs if pairs is not None else co_rating_pairs(g)
-    keep = cnt >= width
-    return SocialGraph._from_arrays(g.people.copy(), iu[keep], iv[keep])
+    count, rows = table if table is not None else co_rating_pairs(g)
+    keep = count >= width
+    # the kept arcs stay in row order, so a row ends where its kept arcs do
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    return SocialGraph._from_rows(g.people.copy(), kept[rows.indptr], rows.indices[keep])
 
 
 # -- recommender graph -------------------------------------------------------
@@ -194,13 +198,9 @@ class RecommenderGraph:
         """
         if self._out is None:
             np_ = self.n_people
-            tails = np.concatenate([
-                self.social._eu, self.social._ev,
-                self.ratings.edge_person_idx,
-            ])
-            heads = np.concatenate([
-                self.social._ev, self.social._eu,
-                self.ratings.edge_movie_idx + np_,
-            ])
+            social = self.social.adjacency_csr()
+            tails = np.concatenate([np.repeat(np.arange(np_), self.social.degrees()),
+                                    self.ratings.edge_person_idx])
+            heads = np.concatenate([social.indices, self.ratings.edge_movie_idx + np_])
             self._out = csr(np_ + self.n_movies, tails, heads)
         return self._out

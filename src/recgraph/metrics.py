@@ -17,11 +17,11 @@ lattice's) switches to OR-reducing padded slabs of rows, which costs less
 per word but more to set up.  Above 5,000 giant people the source set is
 uniformly sampled (seeded) instead, and the result says so.
 
-Everything is numpy on the graphs' edge arrays.  Components come from one
-hook-and-compress labelling of the social edges (``edges.component_labels``),
-which a social graph and its recommender graph share.  Clustering counts
-the neighbours each edge's ends share with adjacency bitsets, in blocks
-bounded by CLUSTERING_BLOCK_BYTES.
+Everything is numpy on the social graph's adjacency rows.  Components
+come from one hook-and-compress labelling of its u < v edges, read off the
+rows (``edges.component_labels``), which a social graph and its recommender
+graph share.  Clustering counts the neighbours each edge's ends share with
+adjacency bitsets, in blocks bounded by CLUSTERING_BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def _labelling(social: SocialGraph) -> tuple:
     reports of both read this one labelling, kept on the social graph.
     """
     if social._labels is None:
-        labels = component_labels(social.n, social._eu, social._ev)
+        labels = component_labels(social.n, *social.edges())
         # vertices are sorted, so a label's first index holds its minimum person id
         _, first = np.unique(labels, return_index=True)
         social._labels = labels, np.bincount(labels), social.vertices[first]
@@ -476,7 +476,7 @@ def _local_clustering(g: SocialGraph) -> np.ndarray:
     least one vertex.
     """
     n = g.n
-    eu, ev = g._eu, g._ev
+    eu, ev = g.edges()
     tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
     words = min(-(-n // 64), max(1, CLUSTERING_BLOCK_BYTES // (8 * n)))
     step = max(1, CLUSTERING_BLOCK_BYTES // (8 * words))

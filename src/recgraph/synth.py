@@ -211,9 +211,9 @@ def rewire(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
     indptr = csr.indptr.tolist()
     nbrs = csr.indices.tolist()
     adj = [set(nbrs[indptr[i]:indptr[i + 1]]) for i in range(n)]
-    degrees = _Fenwick(np.diff(csr.indptr).tolist()) if mode == PREFERENTIAL else None
+    degrees = _Fenwick(g.degrees().tolist()) if mode == PREFERENTIAL else None
     skipped = 0
-    for u, v in zip(g._eu.tolist(), g._ev.tolist()):
+    for u, v in zip(*(end.tolist() for end in g.edges())):
         if rng.random() >= p:
             continue
         if mode == UNIFORM:
@@ -230,10 +230,10 @@ def rewire(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
         if degrees is not None:
             degrees.add(v, -1)
             degrees.add(target, 1)
-    rows = [sorted(b for b in row if b > a) for a, row in enumerate(adj)]
-    eu = np.repeat(np.arange(n, dtype=np.int64), [len(row) for row in rows])
-    ev = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(eu))
-    return SocialGraph._from_arrays(g.vertices, eu, ev), skipped
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in adj], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(map(sorted, adj)), dtype=np.int64)
+    return SocialGraph._from_rows(g.vertices, indptr, indices), skipped
 
 
 def _uniform_target(rng, n, u, taken):

@@ -6,7 +6,7 @@ pointer-chasing union-find, id-keyed rewiring) and shares no code with the
 package under test; only its exception types, mode names and the
 generator's rewire odds are imported, so that errors compare by type, and
 graphs are built through the validating constructors.  Tests read graphs
-through the edge-array helpers at the top rather than package lookups.
+through the array-reading helpers at the top rather than package lookups.
 """
 
 from __future__ import annotations
@@ -23,12 +23,19 @@ from recgraph.jumps import SocialGraph
 from recgraph.synth import PREFERENTIAL, UNIFORM
 
 
-# -- reading graphs through their edge arrays ------------------------------------
+# -- reading graphs through their arrays -----------------------------------------
 
 
 def social_edges(gs: SocialGraph) -> list:
-    """The (u, v) id pairs of a social graph's edges, u < v, in ascending order."""
-    return list(zip(gs.vertices[gs._eu].tolist(), gs.vertices[gs._ev].tolist()))
+    """The (u, v) id pairs of a social graph's edges, u < v, in ascending order.
+
+    Read off the adjacency rows: row i lists the indices of vertex i's
+    neighbours, so each edge shows up in both of its ends' rows.
+    """
+    ids = gs.vertices.tolist()
+    indptr, indices = gs.adjacency_csr()
+    return sorted((ids[i], ids[j]) for i in range(len(ids))
+                  for j in indices[indptr[i]:indptr[i + 1]].tolist() if i < j)
 
 
 def adjacency(gs: SocialGraph) -> dict:

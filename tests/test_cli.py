@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from recgraph import (
     edges,
     generate_power_law_bipartite,
     jumps,
+    load_ratings,
     metrics,
 )
 from recgraph.dataset import BipartiteRatings
@@ -136,21 +138,27 @@ def test_sweep_warns_on_thin_giant_coverage(tmp_path, capsys):
 
 
 def test_sweep_l_pp_follows_social_giant_when_giants_differ():
-    # at w=2 the path 1-2-3 and the triangle 4-5-6 tie on people, so the
-    # social giant is the path (smaller id); person 4's ten extra movies
-    # make the triangle the recommender giant
-    rows = [(p, m) for p in (1, 2) for m in (1, 2)]
-    rows += [(p, m) for p in (2, 3) for m in (3, 4)]
-    rows += [(p, m) for p in (4, 5, 6) for m in (10, 11)]
-    rows += [(4, m) for m in range(20, 30)]
-    (row,) = sweep_rows(BipartiteRatings(rows), 2, 2)
-    assert row.giant_people == 3
-    assert row.giant_movies == 12
-    assert row.l_pp_measured == 4 / 3  # path distances, not the triangle's 1.0
+    # at w=2 a path of people, neighbours co-rating two movies, sits beside a
+    # triangle whose first person's extra movies make it the recommender
+    # giant.  A path of 3 ties the triangle on people and is the social giant
+    # by its smaller ids; a path of 6 is it by size, and with max_sources=5
+    # its pass samples sources 1, 3, 4, 5, 6 (59 hops over 25 pairs) while
+    # the triangle's runs from all 3.  Both passes sample the same count, so
+    # the column reads it when either sampled.
+    for path, extra, max_sources, l_pp, sampled in [(3, 10, None, 4 / 3, "all"),
+                                                    (6, 20, 5, 59 / 25, "5")]:
+        rows = [(q, m) for p in range(1, path) for q in (p, p + 1) for m in (2 * p - 1, 2 * p)]
+        rows += [(p, m) for p in range(path + 1, path + 4) for m in (100, 101)]
+        rows += [(path + 1, m) for m in range(200, 200 + extra)]
+        (row,) = sweep_rows(BipartiteRatings(rows), 2, 2, max_sources)
+        assert row.giant_people == 3
+        assert row.giant_movies == 2 + extra
+        assert row.l_pp_measured == l_pp  # path distances, not the triangle's 1.0
+        assert row.sampled_sources == sampled
 
 
 def test_sweep_analyses_each_width_once(monkeypatch):
-    calls = {"components": 0, "distances": 0, "rows": 0}
+    calls = {"components": 0, "distances": 0, "rows": 0, "tables": 0}
     raters = []
 
     def counted(name, fn):
@@ -168,10 +176,13 @@ def test_sweep_analyses_each_width_once(monkeypatch):
     monkeypatch.setattr(metrics, "component_labels",
                         counted("components", metrics.component_labels))
     monkeypatch.setattr(metrics, "_bfs_distance_sums", counted("distances", distances))
-    # the only CSR built per width is the social rows: G_r's arcs are never listed
+    # a width's social rows are cut from the sweep's one arc table, and G_r's
+    # arcs are never listed, so no CSR is built per width
     rows = counted("rows", edges.csr)
     monkeypatch.setattr(edges, "csr", rows)
     monkeypatch.setattr(jumps, "csr", rows)
+    monkeypatch.setattr(recgraph.cli, "co_rating_pairs",
+                        counted("tables", jumps.co_rating_pairs))
 
     def no_out_csr(self):
         raise AssertionError("sweep_rows listed G_r's arcs")
@@ -184,11 +195,14 @@ def test_sweep_analyses_each_width_once(monkeypatch):
         assert row.components == 1
         assert calls["components"] == 1
         assert calls["distances"] == 1
-        assert calls["rows"] == 1
-    # each movie's raters are listed once per dataset, not once per width
+        assert calls["rows"] == 0
+    # the arc table is counted once per sweep, and each movie's raters are
+    # listed once per dataset, not once per width
     g, _ = generate_power_law_bipartite(SynthConfig(n_people=30, n_movies=12, epsilon=0.5, seed=5))
     raters.clear()
+    calls.update(tables=0, rows=0)
     assert len(sweep_rows(g, 1, 3)) == 3
+    assert calls["tables"] == 1 and calls["rows"] == 0
     assert len(raters) == 3 and all(rows is raters[0] for rows in raters)
 
 
@@ -308,6 +322,23 @@ def test_standin_sweep_and_stats_match_oracle_loaded_graph(tmp_path, capsys, mon
     assert capsys.readouterr().out == stats_out
     assert "duplicate rows: 1\n" in stats_out
     assert f"people: {len(loaded.people)}\n" in stats_out
+
+
+def test_sweep_peak_memory_per_arc(standin):
+    # sweep_rows(g, 17, 18) on the benchmark's stand-in peaked at 32.8 bytes
+    # per width-1 arc here (tracemalloc, numpy 2.4); a per-width CSR sort
+    # over the arcs read 39.2
+    g = load_ratings(standin)
+    arcs = len(jumps.co_rating_pairs(g)[0])
+    assert arcs == 883_614
+    tracemalloc.start()
+    try:
+        rows = sweep_rows(g, 17, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row.w for row in rows] == [17, 18]
+    assert peak <= 36 * arcs
 
 
 # -- CSV format --------------------------------------------------------------------

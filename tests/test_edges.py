@@ -17,7 +17,7 @@ def assert_numbered_by_smallest_vertex(labels):
 def test_labels_match_union_find():
     for seed in range(300):
         gs = random_social(seed)
-        labels = component_labels(gs.n, gs._eu, gs._ev)
+        labels = component_labels(gs.n, *gs.edges())
         assert labels.dtype == np.int64
         assert_numbered_by_smallest_vertex(labels)
         groups = {}
@@ -49,7 +49,7 @@ def test_long_path_is_one_component(order):
 
 def test_shapes():
     ring = generate_wreath(50, 2)
-    assert not component_labels(ring.n, ring._eu, ring._ev).any()
+    assert not component_labels(ring.n, *ring.edges()).any()
     leaves = np.arange(999)
     star = component_labels(1000, leaves, np.full(999, 999))  # the hub has the largest id
     assert not star.any()
@@ -62,8 +62,9 @@ def test_shapes():
 def test_csr_rows_sorted():
     for seed in range(40):
         gs = random_social(seed)
-        tails = np.concatenate([gs._eu, gs._eu])
-        heads = np.concatenate([gs._ev, (gs._ev + 1) % gs.n])
+        eu, ev = gs.edges()
+        tails = np.concatenate([eu, eu])
+        heads = np.concatenate([ev, (ev + 1) % gs.n])
         arcs = sorted(set(zip(tails.tolist(), heads.tolist())))
         tails, heads = np.array(arcs, dtype=np.int64).reshape(-1, 2).T
         rows = csr(gs.n, tails, heads)

@@ -9,6 +9,7 @@ from recgraph import (
 )
 from recgraph import jumps
 from recgraph.dataset import BipartiteRatings
+from recgraph.edges import csr
 from recgraph.jumps import SocialGraph, co_rating_pairs
 
 from oracles import adjacency, hammock_edges_bruteforce, random_ratings, social_edges
@@ -108,9 +109,9 @@ def test_hammock_monotone_in_width():
 def test_precomputed_pairs_match():
     for seed in range(20):
         g = random_ratings(seed)
-        pairs = co_rating_pairs(g)
+        table = co_rating_pairs(g)
         for w in (1, 2, 3):
-            assert (set(social_edges(apply_jump(g, w, pairs)))
+            assert (set(social_edges(apply_jump(g, w, table)))
                     == set(social_edges(apply_jump(g, w))))
 
 
@@ -118,20 +119,32 @@ def test_co_rating_blocks_match_one_block(monkeypatch):
     # blocks of 1, 2, 3 and 5 people leave a short last block on most graphs
     for seed in range(30):
         g = random_ratings(seed, max_people=40, max_movies=30)
+        n = g.n_people
         whole = co_rating_pairs(g)
+        count, (indptr, indices) = whole
+        assert [a.dtype for a in (count, indptr, indices)] == [np.int32, np.int64, np.int64]
+        assert len(indptr) == n + 1 and indptr[-1] == len(indices) == len(count)
+        tails = np.repeat(np.arange(n), np.diff(indptr))
+        assert (np.diff(tails * n + indices) > 0).all()  # rows sorted, arcs distinct
+        arcs = dict(zip(zip(tails.tolist(), indices.tolist()), count.tolist()))
+        assert all(i != j for i, j in arcs)
+        assert arcs == {(j, i): c for (i, j), c in arcs.items()}  # twins share a count
+        # an arc's count is the widest hammock that still links its people
+        people = g.people.tolist()
+        for w in range(1, int(count.max(initial=0)) + 2):
+            linked = {(people[i], people[j]) for (i, j), c in arcs.items() if i < j and c >= w}
+            assert linked == hammock_edges_bruteforce(g, w), (seed, w)
+        for w in (1, 2, 3):
+            gs = apply_jump(g, w, whole)
+            eu, ev = gs.edges()
+            rebuilt = csr(n, np.concatenate([eu, ev]), np.concatenate([ev, eu]))
+            for got, want in zip(gs.adjacency_csr(), rebuilt):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (seed, w)
         for step in (1, 2, 3, 5):
-            monkeypatch.setattr(jumps, "CO_RATING_BLOCK_BYTES", 4 * g.n_people * step)
+            monkeypatch.setattr(jumps, "CO_RATING_BLOCK_BYTES", 4 * n * step)
             blocked = co_rating_pairs(g)
-            for got, want in zip(blocked, whole):
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
-            iu, iv, cnt = blocked
-            for w in (1, 2, 3):
-                keep = cnt >= w
-                edges = set(zip(g.people[iu[keep]].tolist(), g.people[iv[keep]].tolist()))
-                assert edges == hammock_edges_bruteforce(g, w)
-        assert [a.dtype for a in whole] == [np.int64, np.int64, np.int32]
-        assert (np.diff(whole[0] * g.n_people + whole[1]) > 0).all()  # ordered by (iu, iv)
+            for got, want in zip((blocked[0], *blocked[1]), (count, indptr, indices)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (seed, step)
 
 
 def test_two_step_reachability_is_composed_jumps():
