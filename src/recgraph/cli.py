@@ -38,7 +38,7 @@ from .errors import (
     RecgraphError,
     UndefinedMetricError,
 )
-from .jumps import RecommenderGraph, apply_jump, co_rating_pairs
+from .jumps import RecommenderGraph, hammock_graphs
 from .metrics import (
     connected_components,
     degree_cdf,
@@ -236,10 +236,8 @@ def sweep_rows(g, w_min, w_max, max_sources=None, seed=0):
     Predictions use the giant component's degree distributions; degenerate
     models leave their columns empty.
     """
-    table = co_rating_pairs(g)
     rows = []
-    for w in range(w_min, w_max + 1):
-        gs = apply_jump(g, w, table)
+    for w, gs in hammock_graphs(g, w_min, w_max):
         gr = RecommenderGraph(g, gs)
         report = connected_components(gr)
         n_gp = len(report.giant_people)
@@ -404,10 +402,8 @@ def cmd_ws(cfg: RunConfig) -> int:
 
 def cmd_cdf(cfg: RunConfig) -> int:
     g = _load_dataset(cfg)
-    table = co_rating_pairs(g)
     header = ["degree", "log10_count" if cfg.log_scale else "count"]
-    for w in range(cfg.w_min, cfg.w_max + 1):
-        gs = apply_jump(g, w, table)
+    for w, gs in hammock_graphs(g, cfg.w_min, cfg.w_max):
         try:
             dist = degree_distribution(gs, largest_only=cfg.largest_only)
         except UndefinedMetricError:

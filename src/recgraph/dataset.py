@@ -288,27 +288,29 @@ def _iter_generic_csv(path):
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError(f"{path}: empty file") from None
-        header = [h.strip().lower() for h in header]
-        if header[:2] != ["person", "movie"] or len(header) > 3 or (
-                len(header) == 3 and header[2] != "rating"):
-            raise ParseError(path, 1, "header must be person,movie[,rating]")
-        has_rating = len(header) == 3
-        for lineno, row in enumerate(reader, 2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(path, lineno, f"expected {len(header)} fields, got {len(row)}")
-            person = _parse_int(row[0].strip(), path, lineno, "person id")
-            movie = _parse_int(row[1].strip(), path, lineno, "movie id")
-            if has_rating and row[2].strip():
-                try:
-                    float(row[2])
-                except ValueError:
-                    raise ParseError(path, lineno, f"rating is not numeric: {row[2]!r}") from None
-            yield person, movie
+            header = next(reader, None)
+            if header is None:
+                raise EmptyDatasetError(f"{path}: empty file")
+            header = [h.strip().lower() for h in header]
+            if header[:2] != ["person", "movie"] or len(header) > 3 or (
+                    len(header) == 3 and header[2] != "rating"):
+                raise ParseError(path, 1, "header must be person,movie[,rating]")
+            has_rating = len(header) == 3
+            for lineno, row in enumerate(reader, 2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(path, lineno, f"expected {len(header)} fields, got {len(row)}")
+                person = _parse_int(row[0].strip(), path, lineno, "person id")
+                movie = _parse_int(row[1].strip(), path, lineno, "movie id")
+                if has_rating and row[2].strip():
+                    try:
+                        float(row[2])
+                    except ValueError:
+                        raise ParseError(path, lineno, f"rating is not numeric: {row[2]!r}") from None
+                yield person, movie
+        except csv.Error as exc:  # a field past csv.field_size_limit(), say
+            raise ParseError(path, reader.line_num, str(exc)) from None
 
 
 def load_ratings(path, fmt=MOVIELENS_TAB) -> BipartiteRatings:

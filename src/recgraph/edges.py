@@ -1,9 +1,9 @@
 """Graph primitives on integer edge arrays: CSR rows and component labels.
 
 Vertices are the indices 0..n-1, and a graph is given by two equal-length
-integer arrays of arc tails and heads (or of edge endpoints).  A social
-graph is its ``Csr`` rows: a jump cuts them from the width-1 arc table, and
-the validating constructor builds them here, as ``rater_csr`` does a movie's.
+integer arrays of arc tails and heads (or of edge endpoints).  ``csr``
+builds a movie's raters and G_r's out-arcs; a social graph's rows come from
+its producers, each of which writes them sorted (see ``jumps.SocialGraph``).
 """
 
 from __future__ import annotations

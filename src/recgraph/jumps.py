@@ -5,8 +5,8 @@ whose edges connect people with sufficiently overlapping taste, plus a
 directed recommender graph G_r that keeps the movies reachable from that
 social structure.  A jump is its width w, the hammock of width w: it
 connects two people when they co-rated at least w movies.  Width 1 is the
-skip jump, which links every pair of co-raters.  Widths nest, so each
-width's social graph is cut from one width-1 arc table (co_rating_pairs).
+skip jump, which links every pair of co-raters.  Widths nest, so
+hammock_graphs cuts each width from the arcs the width before it kept.
 
 In G_r every social edge contributes arcs in both directions and every
 rating contributes one person -> movie arc.  Movies have no outgoing arcs,
@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import BipartiteRatings
 from .edges import Csr, csr
-from .errors import GraphMismatchError, UnknownNodeError
+from .errors import GraphMismatchError
 
 # Byte budget for one block of co-rating counts: its rows of people times
 # every person, at the incidence's item size.
@@ -27,41 +27,20 @@ CO_RATING_BLOCK_BYTES = 16 << 20
 
 
 class SocialGraph:
-    """Undirected simple graph over integer vertex ids.
+    """Undirected simple graph over integer vertex ids, built from its rows.
 
     This is the shape of the person-person graph a jump induces (isolated
     people stay as vertices) and doubles as the container for ring-lattice
-    graphs.  It holds its symmetric adjacency rows over vertex indices,
-    and reads its degrees and edges off them.  Immutable after construction.
+    graphs.  ``vertices`` are sorted unique ids; ``rows``, an ``edges.Csr``
+    over vertex indices, are symmetric, loop-free and ascending, and are
+    trusted.  Degrees and edges are read off them.  Immutable.
     """
 
-    def __init__(self, vertices, edges=()):
-        self.vertices = np.array(sorted({int(v) for v in vertices}), dtype=np.int64)
-        index = {v: i for i, v in enumerate(self.vertices.tolist())}
-        pairs = set()
-        for a, b in edges:
-            a, b = int(a), int(b)
-            if a == b:
-                raise ValueError(f"self-loop on vertex {a}")
-            try:
-                pairs.add((index[a], index[b]))
-                pairs.add((index[b], index[a]))
-            except KeyError as missing:
-                raise UnknownNodeError(f"edge endpoint not a vertex: {missing.args[0]}") from None
-        tails, heads = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
-        self._rows = csr(self.n, tails, heads)
+    def __init__(self, vertices, rows: Csr):
+        self.vertices = np.asarray(vertices, dtype=np.int64)
+        self._rows = rows
         self._labels = None  # component labels, sizes and anchors, filled by metrics
         self._components = None  # ComponentReport, filled by metrics
-
-    @classmethod
-    def _from_rows(cls, vertex_ids, indptr, indices):
-        """Trusted path: vertex_ids sorted unique, rows symmetric, sorted, loop-free."""
-        g = cls.__new__(cls)
-        g.vertices = np.asarray(vertex_ids, dtype=np.int64)
-        g._rows = Csr(indptr, indices)
-        g._labels = None
-        g._components = None
-        return g
 
     # -- shape -------------------------------------------------------------
 
@@ -136,8 +115,8 @@ def apply_jump(g: BipartiteRatings, width: int, table=None) -> SocialGraph:
 
     Two people are linked when they co-rated at least ``width`` movies, a
     positive int.  Every person stays a vertex even when isolated.
-    ``table`` may carry a precomputed :func:`co_rating_pairs` result so a
-    sweep over widths pays the counting cost once.
+    ``table``, when given, is any ``(count, rows)`` table holding every arc
+    of that width; the width-1 table (:func:`co_rating_pairs`) by default.
     """
     if not isinstance(width, int) or width < 1:
         raise ValueError("width must be a positive integer")
@@ -145,7 +124,20 @@ def apply_jump(g: BipartiteRatings, width: int, table=None) -> SocialGraph:
     keep = count >= width
     # the kept arcs stay in row order, so a row ends where its kept arcs do
     kept = np.concatenate([[0], np.cumsum(keep)])
-    return SocialGraph._from_rows(g.people.copy(), kept[rows.indptr], rows.indices[keep])
+    return SocialGraph(g.people.copy(), Csr(kept[rows.indptr], rows.indices[keep]))
+
+
+def hammock_graphs(g: BipartiteRatings, w_min: int, w_max: int):
+    """Yield ``(w, social graph)`` for widths w_min..w_max.
+
+    Widths nest, so each width after the first is cut from the last one's
+    kept arcs (their counts and its rows), the only table held.
+    """
+    count, rows = co_rating_pairs(g)
+    for w in range(w_min, w_max + 1):
+        gs = apply_jump(g, w, (count, rows))
+        count, rows = count[count >= w], gs._rows
+        yield w, gs
 
 
 # -- recommender graph -------------------------------------------------------

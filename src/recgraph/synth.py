@@ -1,5 +1,8 @@
 """Synthetic rating datasets and ring-lattice rewiring experiments.
 
+A ring lattice is written as its rows in closed form; rewiring sorts its
+per-vertex neighbour sets back into rows.
+
 The dataset generator hands person b (1-based, most active first) the first
 ceil(n_movies * b**-epsilon) movies, then re-points each initial rating, with
 probability REWIRE_THRESHOLD / REWIRE_OUTCOMES (2/11), at a uniformly chosen
@@ -24,6 +27,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .dataset import BipartiteRatings
+from .edges import Csr
 from .errors import UndefinedMetricError
 from .jumps import SocialGraph
 from .metrics import (
@@ -182,10 +186,14 @@ class WreathConfig:
 
 
 def generate_wreath(n: int, k: int) -> SocialGraph:
-    """Ring lattice: vertex i adjacent to i +- 1 .. k/2, modulo n."""
+    """Ring lattice: vertex i adjacent to i +- 1 .. k/2, modulo n.
+
+    Row i is i plus those k offsets, sorted; as k < n, they stay distinct.
+    """
     WreathConfig(n=n, k=k)  # reuse the validation
-    edges = [(i, (i + j) % n) for i in range(n) for j in range(1, k // 2 + 1)]
-    return SocialGraph(range(n), edges)
+    half = k // 2
+    rows = np.sort((np.arange(n)[:, None] + np.r_[-half:0, 1:half + 1]) % n, axis=1)
+    return SocialGraph(np.arange(n), Csr(np.arange(0, n * k + 1, k), rows.ravel()))
 
 
 def rewire(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
@@ -233,7 +241,7 @@ def rewire(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum([len(row) for row in adj], out=indptr[1:])
     indices = np.fromiter(chain.from_iterable(map(sorted, adj)), dtype=np.int64)
-    return SocialGraph._from_rows(g.vertices, indptr, indices), skipped
+    return SocialGraph(g.vertices, Csr(indptr, indices)), skipped
 
 
 def _uniform_target(rng, n, u, taken):

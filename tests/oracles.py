@@ -4,9 +4,10 @@ Everything here is deliberately written the slow, obvious way (row-by-row
 parsing, set-based dedupe, set intersections, dense Floyd-Warshall,
 pointer-chasing union-find, id-keyed rewiring) and shares no code with the
 package under test; only its exception types, mode names and the
-generator's rewire odds are imported, so that errors compare by type, and
-graphs are built through the validating constructors.  Tests read graphs
-through the array-reading helpers at the top rather than package lookups.
+generator's rewire odds are imported, so that errors compare by type.
+Rating graphs are built through their validating constructor, and social
+graphs from an edge list by ``social_graph``.  Tests read graphs through
+the array-reading helpers at the top rather than package lookups.
 """
 
 from __future__ import annotations
@@ -19,11 +20,33 @@ import numpy as np
 
 from recgraph import EmptyDatasetError, ParseError, UnknownNodeError, synth
 from recgraph.dataset import BipartiteRatings
+from recgraph.edges import Csr
 from recgraph.jumps import SocialGraph
 from recgraph.synth import PREFERENTIAL, UNIFORM
 
 
-# -- reading graphs through their arrays -----------------------------------------
+# -- building and reading graphs through their arrays ---------------------------
+
+
+def social_graph(vertices, edges=()) -> SocialGraph:
+    """The social graph on ``vertices`` with the given (id, id) edges.
+
+    Each edge lands in both of its ends' rows once, however often and in
+    whichever orientation it is listed; rows are sorted, and every array is
+    int64, empty input included.  A self-loop or an unknown id raises.
+    """
+    ids = sorted({int(v) for v in vertices})
+    index = {v: i for i, v in enumerate(ids)}
+    nbrs = [set() for _ in ids]
+    for a, b in edges:
+        i, j = index[int(a)], index[int(b)]
+        if i == j:
+            raise ValueError(f"self-loop on vertex {a}")
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    indptr = np.cumsum([0] + [len(row) for row in nbrs], dtype=np.int64)
+    indices = np.array([j for row in nbrs for j in sorted(row)], dtype=np.int64)
+    return SocialGraph(np.array(ids, dtype=np.int64), Csr(indptr, indices))
 
 
 def social_edges(gs: SocialGraph) -> list:
@@ -293,7 +316,7 @@ _ORACLE_REJECTION_CAP = 64
 
 
 def rewire_oracle(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
-    """The id-keyed rewiring walk: (graph, skipped), built through SocialGraph."""
+    """The id-keyed rewiring walk: (graph, skipped), built through social_graph."""
     if not 0 <= p <= 1:
         raise ValueError("rewire probability must lie in [0, 1]")
     if mode not in (UNIFORM, PREFERENTIAL):
@@ -328,7 +351,7 @@ def rewire_oracle(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
         for b in adj[a]:
             if a < b:
                 edges.append((a, b))
-    rewired = SocialGraph(ids, edges)
+    rewired = social_graph(ids, edges)
     return rewired, skipped
 
 
@@ -447,7 +470,7 @@ def random_social(seed, max_n=40) -> SocialGraph:
     vertices = [5 + i * step for i in range(n)]
     edges = [(u, v) for i, u in enumerate(vertices)
              for v in vertices[i + 1:] if rng.random() < p]
-    return SocialGraph(vertices, edges)
+    return social_graph(vertices, edges)
 
 
 def ratings_with_giant(seed, giant: int) -> BipartiteRatings:

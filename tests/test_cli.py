@@ -181,8 +181,7 @@ def test_sweep_analyses_each_width_once(monkeypatch):
     rows = counted("rows", edges.csr)
     monkeypatch.setattr(edges, "csr", rows)
     monkeypatch.setattr(jumps, "csr", rows)
-    monkeypatch.setattr(recgraph.cli, "co_rating_pairs",
-                        counted("tables", jumps.co_rating_pairs))
+    monkeypatch.setattr(jumps, "co_rating_pairs", counted("tables", jumps.co_rating_pairs))
 
     def no_out_csr(self):
         raise AssertionError("sweep_rows listed G_r's arcs")
@@ -325,9 +324,10 @@ def test_standin_sweep_and_stats_match_oracle_loaded_graph(tmp_path, capsys, mon
 
 
 def test_sweep_peak_memory_per_arc(standin):
-    # sweep_rows(g, 17, 18) on the benchmark's stand-in peaked at 32.8 bytes
-    # per width-1 arc here (tracemalloc, numpy 2.4); a per-width CSR sort
-    # over the arcs read 39.2
+    # sweep_rows(g, 17, 18) on the benchmark's stand-in peaks at 29.0 bytes
+    # per width-1 arc (tracemalloc, numpy 2.4), as the width-1 table goes once
+    # width 17 is cut from it; holding that table for the whole sweep read
+    # 32.8, and a per-width CSR sort over the arcs 39.2
     g = load_ratings(standin)
     arcs = len(jumps.co_rating_pairs(g)[0])
     assert arcs == 883_614
@@ -338,7 +338,7 @@ def test_sweep_peak_memory_per_arc(standin):
     finally:
         tracemalloc.stop()
     assert [row.w for row in rows] == [17, 18]
-    assert peak <= 36 * arcs
+    assert peak <= 32 * arcs
 
 
 # -- CSV format --------------------------------------------------------------------
@@ -464,7 +464,8 @@ def test_malformed_input_exits_1(tmp_path, capsys):
 
 
 # A bad row after a good one: an undecodable byte, an id past int64, or
-# (CSV) a row of the wrong width or with a rating that is not a number.
+# (CSV) a row of the wrong width, with a rating that is not a number, or with
+# a field past the csv module's size limit.
 BAD_ROWS = {
     ("movielens", "invalid_utf8"): (b"1\t10\t5\t0\n\xff\t2\t3\t0\n", 2),
     ("movielens", "id_past_int64"): (b"1\t10\t5\t0\n123456789012345678901\t2\t3\t0\n", 2),
@@ -472,6 +473,7 @@ BAD_ROWS = {
     ("csv", "id_past_int64"): (b"person,movie\n1,10\n2,123456789012345678901\n", 3),
     ("csv", "wrong_field_count"): (b"person,movie\n1,10\n2,3,4\n", 3),
     ("csv", "rating_not_numeric"): (b"person,movie,rating\n1,10,5\n2,3,x\n", 3),
+    ("csv", "field_past_csv_limit"): (b"person,movie\n1,10\n" + b"1" * 131_073 + b",4\n", 3),
 }
 
 

@@ -1,10 +1,11 @@
-"""Golden outputs: the SHA-256 of every CSV four small CLI runs write.
+"""Golden outputs: the SHA-256 of every CSV five small CLI runs write.
 
 The rating file is the benchmark's seeded ML-100k-shaped stand-in
 (``perfbench/standins.py``, seed 0), written by the ``standin`` fixture in
 ``conftest.py``.  The other CLI tests compare two runs of the same code;
 these digests pin the bytes themselves, so a rewrite that moves any output
-byte fails here.
+byte fails here.  ``sweep-chain`` walks widths 1..30, so every width there
+is cut from the one before it.
 """
 
 import hashlib
@@ -16,6 +17,8 @@ from recgraph.cli import main
 GOLDEN = {
     ("sweep", "sweep.csv"):
         "13e24c32cb091a849911baaa1362af0e019afba4c3eb5e080e07c6a2f565c8ac",
+    ("sweep-chain", "sweep.csv"):
+        "08bd01e03699aa32b24bc73d7faa84fea29637d922607695ada9c073b1a4ed80",
     ("cdf", "cdf_w01.csv"):
         "ea14fcac699a6e5c3c49e207e4b4a2beef932fa1d7165c038f1b2d73e059be97",
     ("cdf", "cdf_w02.csv"):
@@ -34,6 +37,8 @@ GOLDEN = {
 def _runs(path):
     return {
         "sweep": ["sweep", "--input", str(path), "--w-min", "17", "--w-max", "18"],
+        "sweep-chain": ["sweep", "--input", str(path), "--w-min", "1", "--w-max", "30",
+                        "--max-sources", "50"],
         "cdf": ["cdf", "--input", str(path), "--w-min", "1", "--w-max", "3",
                 "--log", "--largest-only"],
         "synth-study": ["synth-study", "--kappa-min", "1", "--kappa-max", "3",
@@ -42,7 +47,7 @@ def _runs(path):
     }
 
 
-@pytest.mark.parametrize("command", ["sweep", "cdf", "synth-study", "ws"])
+@pytest.mark.parametrize("command", ["sweep", "sweep-chain", "cdf", "synth-study", "ws"])
 def test_csv_digests_match_golden(command, standin, tmp_path, capsys):
     out = tmp_path / command
     assert main(_runs(standin)[command] + ["--out", str(out)]) == 0

@@ -4,15 +4,20 @@ import pytest
 from recgraph import (
     GraphMismatchError,
     RecommenderGraph,
-    UnknownNodeError,
     apply_jump,
 )
 from recgraph import jumps
 from recgraph.dataset import BipartiteRatings
 from recgraph.edges import csr
-from recgraph.jumps import SocialGraph, co_rating_pairs
+from recgraph.jumps import co_rating_pairs, hammock_graphs
 
-from oracles import adjacency, hammock_edges_bruteforce, random_ratings, social_edges
+from oracles import (
+    adjacency,
+    hammock_edges_bruteforce,
+    random_ratings,
+    social_edges,
+    social_graph,
+)
 
 
 def four_person_fixture():
@@ -57,19 +62,16 @@ def test_width_validation():
 
 
 def test_social_graph_basics():
-    gs = SocialGraph([1, 2, 3], [(1, 2), (2, 1), (2, 3)])
+    gs = social_graph([1, 2, 3], [(1, 2), (2, 1), (2, 3)])
     assert gs.n == 3
-    assert gs.edge_count == 2  # (1,2) deduplicated across orientations
+    assert gs.edge_count == 2  # the oracle lists (1,2) once across orientations
     assert adjacency(gs) == {1: {2}, 2: {1, 3}, 3: {2}}
     assert gs.degrees().tolist() == [1, 2, 1]
-    assert SocialGraph([4, 5]).degrees().tolist() == [0, 0]
-
-
-def test_social_graph_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        SocialGraph([1, 2], [(1, 1)])
-    with pytest.raises(UnknownNodeError):
-        SocialGraph([1, 2], [(1, 9)])
+    assert [e.tolist() for e in gs.edges()] == [[0, 1], [1, 2]]
+    assert social_graph([4, 5]).degrees().tolist() == [0, 0]
+    empty = social_graph([])
+    assert empty.n == empty.edge_count == 0
+    assert [a.dtype for a in (empty.vertices, *empty.adjacency_csr())] == [np.int64] * 3
 
 
 # -- hammock correctness ------------------------------------------------------------
@@ -113,6 +115,38 @@ def test_precomputed_pairs_match():
         for w in (1, 2, 3):
             assert (set(social_edges(apply_jump(g, w, table)))
                     == set(social_edges(apply_jump(g, w))))
+
+
+def test_hammock_graphs_match_each_width_alone():
+    # ranges from above 1, a single width, and ranges past the widest count
+    for seed in range(30):
+        g = random_ratings(seed)
+        widest = int(co_rating_pairs(g)[0].max(initial=0))
+        for w_min, w_max in ((2, 4), (3, 3), (1, widest + 2), (2, widest + 2)):
+            graphs = list(hammock_graphs(g, w_min, w_max))
+            assert [w for w, _ in graphs] == list(range(w_min, w_max + 1))
+            for w, gs in graphs:
+                want = apply_jump(g, w)
+                for name, a, b in [("vertices", gs.vertices, want.vertices),
+                                   *zip(("indptr", "indices"), gs.adjacency_csr(),
+                                        want.adjacency_csr())]:
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (name, seed, w)
+
+
+def test_hammock_graphs_cut_each_width_from_the_last(monkeypatch):
+    received = []
+    cut = jumps.apply_jump
+
+    def recorded(g, width, table=None):
+        received.append(len(table[0]))
+        return cut(g, width, table)
+
+    monkeypatch.setattr(jumps, "apply_jump", recorded)
+    for seed in range(10):
+        g = random_ratings(seed)
+        received.clear()
+        arcs = [len(gs.adjacency_csr().indices) for _, gs in hammock_graphs(g, 2, 7)]
+        assert received == [len(co_rating_pairs(g)[0]), *arcs[:-1]], seed
 
 
 def test_co_rating_blocks_match_one_block(monkeypatch):
@@ -213,6 +247,6 @@ def test_movies_are_sinks_and_person_arcs_paired():
 
 def test_mismatched_social_graph_rejected():
     g = BipartiteRatings([(1, 10), (2, 10)])
-    other = SocialGraph([1, 2, 3], [(1, 2)])
+    other = social_graph([1, 2, 3], [(1, 2)])
     with pytest.raises(GraphMismatchError):
         RecommenderGraph(g, other)

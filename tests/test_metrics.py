@@ -15,7 +15,6 @@ from recgraph import (
 )
 from recgraph import metrics
 from recgraph.dataset import BipartiteRatings
-from recgraph.jumps import SocialGraph
 from recgraph.metrics import (
     DegreeDistribution,
     _pick_sources,
@@ -38,6 +37,7 @@ from oracles import (
     random_social,
     ratings_with_giant,
     social_edges,
+    social_graph,
     social_partition,
 )
 
@@ -68,14 +68,14 @@ def test_partition_matches_union_find_oracle():
 
 
 def test_isolated_people_counted():
-    gs = SocialGraph([1, 2, 3, 4, 5], [(1, 2)])
+    gs = social_graph([1, 2, 3, 4, 5], [(1, 2)])
     report = connected_components(gs)
     assert report.isolated_people == 3
     assert report.component_sizes == ((2, 0), (1, 0), (1, 0), (1, 0))
 
 
 def test_not_shattered_when_secondary_component_has_edges():
-    gs = SocialGraph([1, 2, 3, 4, 5], [(1, 2), (1, 3), (4, 5)])
+    gs = social_graph([1, 2, 3, 4, 5], [(1, 2), (1, 3), (4, 5)])
     report = connected_components(gs)
     assert set(report.giant_people) == {1, 2, 3}
     assert report.isolated_people == 0  # the pair 4-5 is not isolated
@@ -168,7 +168,7 @@ def test_component_type_check():
 
 
 def test_degree_distribution_star():
-    gs = SocialGraph([0, 1, 2, 3, 4], [(0, i) for i in range(1, 5)])
+    gs = social_graph([0, 1, 2, 3, 4], [(0, i) for i in range(1, 5)])
     dist = degree_distribution(gs)
     assert dist.probabilities == {1: 0.8, 4: 0.2}
     assert dist.counts() == {1: 4, 4: 1}
@@ -183,7 +183,7 @@ def test_degree_distribution_handshake():
 
 
 def test_degree_distribution_largest_only():
-    gs = SocialGraph([1, 2, 3, 4, 5], [(1, 2), (2, 3)])
+    gs = social_graph([1, 2, 3, 4, 5], [(1, 2), (2, 3)])
     dist = degree_distribution(gs, largest_only=True)
     assert dist.n == 3
     assert dist.probabilities == {1: 2 / 3, 2: 1 / 3}
@@ -191,7 +191,7 @@ def test_degree_distribution_largest_only():
 
 def test_degree_distribution_empty_graph():
     with pytest.raises(UndefinedMetricError):
-        degree_distribution(SocialGraph([], []))
+        degree_distribution(social_graph([], []))
 
 
 def test_distribution_mass_validation():
@@ -387,9 +387,9 @@ def test_mixture_identity_exact():
 
 
 def test_l_pp_fixtures():
-    k5 = SocialGraph(range(5), [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    k5 = social_graph(range(5), [(i, j) for i in range(5) for j in range(i + 1, 5)])
     assert measure_l_pp(k5).l_pp == 1.0
-    path = SocialGraph([1, 2, 3], [(1, 2), (2, 3)])
+    path = social_graph([1, 2, 3], [(1, 2), (2, 3)])
     assert abs(measure_l_pp(path).l_pp - 4 / 3) < 1e-12
     wreath = generate_wreath(12, 4)
     assert abs(measure_l_pp(wreath).l_pp - 21 / 11) < 1e-9
@@ -412,7 +412,7 @@ def test_path_stats_fields_per_graph_kind():
     assert (stats.pairs_pp, stats.sources, stats.sampled) == (6, 3, False)
     # a giant whose people rate nothing reaches no movie, and l_r is still l_pp
     g = BipartiteRatings([(3, 10)], people=[1, 2, 3])
-    gr = RecommenderGraph(g, SocialGraph([1, 2, 3], [(1, 2)]))
+    gr = RecommenderGraph(g, social_graph([1, 2, 3], [(1, 2)]))
     stats = measure_l_r_l_pm(gr)
     assert (stats.l_pp, stats.l_pm, stats.l_r) == (1.0, None, 1.0)
     assert (stats.pairs_pp, stats.pairs_pm, stats.sources) == (2, 0, 2)
@@ -433,7 +433,7 @@ def test_rater_rows_list_each_movies_raters():
 
 
 def test_l_pp_undefined_on_singleton_giant():
-    gs = SocialGraph([1, 2, 3], [])
+    gs = social_graph([1, 2, 3], [])
     with pytest.raises(UndefinedMetricError):
         measure_l_pp(gs)
 
@@ -464,14 +464,14 @@ def test_sampled_sources_in_recommender_graph():
 
 
 def test_clustering_fixtures():
-    triangle = SocialGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
+    triangle = social_graph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
     assert clustering_coefficient(triangle) == 1.0
-    star = SocialGraph([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+    star = social_graph([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
     assert clustering_coefficient(star) == 0.0
     assert clustering_coefficient(generate_wreath(12, 4)) == 0.5
     with pytest.raises(UndefinedMetricError):
-        clustering_coefficient(SocialGraph([], []))
-    assert clustering_coefficient(SocialGraph([1, 2], [])) == 0.0
+        clustering_coefficient(social_graph([], []))
+    assert clustering_coefficient(social_graph([1, 2], [])) == 0.0
 
 
 def test_clustering_matches_direct_count(monkeypatch):
@@ -479,8 +479,8 @@ def test_clustering_matches_direct_count(monkeypatch):
     rng = random.Random("clustering")
     for n in (63, 64, 65, 130):  # bitset rows of one word, a full word, a word and a bit
         ids = [3 + 2 * i for i in range(n)]
-        graphs.append(SocialGraph(ids, [(u, v) for i, u in enumerate(ids)
-                                        for v in ids[i + 1:] if rng.random() < 0.15]))
+        graphs.append(social_graph(ids, [(u, v) for i, u in enumerate(ids)
+                                         for v in ids[i + 1:] if rng.random() < 0.15]))
     # the default budget, then one word and one edge per block, then two
     # words (a 130-vertex graph's last column range holds 2 columns)
     for block_bytes in (metrics.CLUSTERING_BLOCK_BYTES, 8, 2080):

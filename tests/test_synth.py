@@ -13,7 +13,6 @@ from recgraph import (
     synth,
 )
 from recgraph.dataset import is_connected_bipartite, sparsity
-from recgraph.jumps import SocialGraph
 from recgraph.metrics import clustering_coefficient
 from recgraph.synth import (
     PREFERENTIAL,
@@ -36,6 +35,7 @@ from oracles import (
     random_social,
     rewire_oracle,
     social_edges,
+    social_graph,
 )
 
 
@@ -242,6 +242,17 @@ def test_wreath_cycle():
     assert all(len(nbrs) == 2 for nbrs in adjacency(g).values())
 
 
+def test_wreath_rows_match_edge_list_oracle():
+    for n, k in ((3, 2), (4, 2), (5, 4), (12, 4), (65, 4), (1000, 10)):
+        got = generate_wreath(n, k)
+        want = social_graph(range(n), [(i, (i + j) % n) for i in range(n)
+                                       for j in range(1, k // 2 + 1)])
+        for name, a, b in [("vertices", got.vertices, want.vertices),
+                           *zip(("indptr", "indices"), got.adjacency_csr(),
+                                want.adjacency_csr())]:
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, n, k)
+
+
 def test_wreath_validation():
     with pytest.raises(ValueError):
         generate_wreath(4, 4)
@@ -272,7 +283,7 @@ def test_rewire_preserves_edge_count_and_simplicity():
                 assert r.edge_count == g.edge_count
                 assert sorted(int(v) for v in r.vertices) == list(range(30))
                 for u, v in social_edges(r):
-                    assert u != v  # SocialGraph would reject these anyway
+                    assert u != v
                 assert r.degrees().sum() == 2 * r.edge_count
 
 
@@ -299,7 +310,7 @@ def test_rewire_complete_graph_skips_everything():
 
 
 def _assert_rewire_matches_oracle(g, p, mode, seed):
-    # the result skips SocialGraph's validation, so compare the raw rows
+    # nothing checks the rows a graph is built from, so compare them raw
     got, skipped = rewire(g, p, mode, seed=seed)
     want, want_skipped = rewire_oracle(g, p, mode, seed=seed)
     assert skipped == want_skipped
@@ -329,7 +340,7 @@ def test_rewire_matches_oracle_when_rejection_starves(mode, missing):
     ids = [7 + 3 * i for i in range(n)]
     edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)
              if (i, j) not in gap and (j, i) not in gap]
-    g = SocialGraph(ids, edges)
+    g = social_graph(ids, edges)
     for p in (0.05, 0.5, 1.0):
         for seed in range(3):
             _assert_rewire_matches_oracle(g, p, mode, seed)
@@ -446,7 +457,7 @@ def test_giant_clustering_ignores_the_rest_of_a_disconnected_graph():
     # of two triangles on a path, and two isolated vertices
     k4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     giant = [(10, 11), (11, 12), (10, 12), (12, 13), (13, 14), (14, 15), (13, 15), (15, 16)]
-    gs = SocialGraph([1, 2, 3, 4, 10, 11, 12, 13, 14, 15, 16, 30, 31], k4 + giant)
+    gs = social_graph([1, 2, 3, 4, 10, 11, 12, 13, 14, 15, 16, 30, 31], k4 + giant)
     expected = giant_clustering_oracle(gs)
     assert abs(synth._giant_clustering(gs) - expected) < 1e-12
     # (1 + 1 + 1/3 + 1/3 + 1 + 1/3 + 0) / 7 over the giant; (4 + 4) / 13 over all
