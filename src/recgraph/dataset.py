@@ -296,9 +296,10 @@ def _iter_generic_csv(path):
                     len(header) == 3 and header[2] != "rating"):
                 raise ParseError(path, 1, "header must be person,movie[,rating]")
             has_rating = len(header) == 3
-            for lineno, row in enumerate(reader, 2):
+            for row in reader:
                 if not row or all(not cell.strip() for cell in row):
                     continue
+                lineno = reader.line_num  # a quoted field may span lines
                 if len(row) != len(header):
                     raise ParseError(path, lineno, f"expected {len(header)} fields, got {len(row)}")
                 person = _parse_int(row[0].strip(), path, lineno, "person id")

@@ -12,10 +12,11 @@ Sources go in blocks sized so the gathered frontier bits stay within
 BFS_BLOCK_BYTES (or one word per arc, when that is more), which bounds
 memory however many sources run.  Each level pulls every row's frontier
 bits with one reduceat over the gathered arcs; a block of more than one
-word that runs past BFS_SLAB_LEVELS levels (a long search, such as a ring
-lattice's) switches to OR-reducing padded slabs of rows, which costs less
-per word but more to set up.  Above 5,000 giant people the source set is
-uniformly sampled (seeded) instead, and the result says so.
+word whose levels times words pass BFS_SLAB_WORD_LEVELS (a long search,
+such as a ring lattice's, or a wide block) switches to OR-reducing padded
+slabs of rows, which costs less per word but more to set up.  Above 5,000
+giant people the source set is uniformly sampled (seeded) instead, and the
+result says so.
 
 Everything is numpy on the social graph's adjacency rows.  Components
 come from one hook-and-compress labelling of its u < v edges, read off the
@@ -46,16 +47,21 @@ DEFAULT_SAMPLED_SOURCES = 1000
 # The slab pull gathers at most 1.5 times the arcs' words, one padded
 # length at a time.
 BFS_BLOCK_BYTES = 4 << 20
-# Levels a block runs with the reduceat pull before it switches to the slab
-# pull, an OR down axis 0 of a (padded length, rows, words) gather.  Only
-# blocks of more than one word switch.  On a 2-core x86 host, at 16 words a
-# level's slab pull took 0.24 against 0.45 ms on the n = 1000, k = 10 ring
-# lattice, and 5.5 against 31.5 ms on the width-18 social graph of the
-# ML-100k stand-in; at one word it lost there, 0.80 against 0.34 ms.
-# Building that graph's slabs took 15 ms, which a short search does not earn
-# back; every block of `sweep -w 1..30` on the stand-in and of the default
-# `synth-study` ends within four levels.
-BFS_SLAB_LEVELS = 8
+# Word-levels (levels times the block's words) a block pulls with reduceat
+# before it switches to the slab pull, an OR down axis 0 of a (padded
+# length, rows, words) gather; only blocks of more than one word switch, at
+# the first level d with d * words > BFS_SLAB_WORD_LEVELS.  So a 2-word
+# block switches at level 9 and a 16-word block at level 2.  On a 2-core x86
+# host, at 16 words a level's slab pull took 0.24 against 0.45 ms on the
+# n = 1000, k = 10 ring lattice, and 5.5 against 31.5 ms on the width-18
+# social graph of the ML-100k stand-in; at one word it lost there, 0.80
+# against 0.34 ms.  Building the slabs costs about 8 word-levels of
+# reduceat pulls on both graphs (0.23 and 15 ms), so a block spends about
+# twice that before it switches.  Switching every block at level 1 made the
+# stand-in's widths 17 and 18 slower (from 67 to 100 ms); every block of
+# `sweep -w 1..30` on the stand-in and of the default `synth-study` ends
+# within four levels.
+BFS_SLAB_WORD_LEVELS = 16
 # Byte budget for the adjacency bitsets of one column range in the
 # clustering count, and for the bitsets of one block of edges gathered from
 # them; each holds at least one word per row.
@@ -310,9 +316,9 @@ def _bfs_distance_sums(social, src_idx, raters):
     ORs the frontier words of the people it lists, and the bits it had not
     yet seen are the (source, target) pairs at that distance.  Sources are
     visited at distance 0, so self-pairs never count, nor do unreachable pairs.
-    Past BFS_SLAB_LEVELS levels, a block of more than one word pulls through
-    slabs (see :func:`_slabs`), built once per call, into a second people
-    frontier; both pulls give the same frontier.
+    Once its levels times words pass BFS_SLAB_WORD_LEVELS, a block of more
+    than one word pulls through slabs (see :func:`_slabs`), built once per
+    call, into a second people frontier; both pulls give the same frontier.
     """
     n_people, n_movies = len(social.indptr) - 1, len(raters.indptr) - 1
     # take() gathers fastest with native indices
@@ -341,7 +347,7 @@ def _bfs_distance_sums(social, src_idx, raters):
         seen_movies = movies.copy()
         for d in itertools.count(1):
             # movies first: they pull from the people frontier of level d - 1
-            if d > BFS_SLAB_LEVELS and people.shape[1] > 1:
+            if people.shape[1] > 1 and d * people.shape[1] > BFS_SLAB_WORD_LEVELS:
                 if people_slabs is None:
                     movie_slabs = _slabs(raters, n_people)
                     people_slabs = _slabs(social, n_people)
@@ -371,11 +377,13 @@ def _bfs_distance_sums(social, src_idx, raters):
 
 
 def _slabs(rows, pad):
-    """The non-empty rows grouped by padded length: a list of (rows, slab).
+    """The non-empty rows grouped by size class: a list of (rows, slab).
 
-    A row's padded length is the smallest 2**k or 3 * 2**k that holds it,
-    so padding costs at most half as much again as the row.  Column r of a
-    group's (length, rows) slab lists row r's entries, then ``pad``.
+    A row's size class is the smallest 2**k or 3 * 2**k that holds it, and
+    each group is padded to its longest row, so padding costs less than
+    half as much again as the row (a ring lattice's rows of 10 gather 10
+    entries, not 12).  Column r of a group's (length, rows) slab lists row
+    r's entries, then ``pad``.
     """
     lengths = np.diff(rows.indptr)
     listed = np.flatnonzero(lengths)
@@ -383,11 +391,11 @@ def _slabs(rows, pad):
         return []
     top = int(lengths.max()).bit_length()
     sizes = np.array(sorted({s for k in range(top + 1) for s in (1 << k, 3 << k)}))
-    padded = sizes[np.searchsorted(sizes, lengths[listed])]
+    size_class = sizes[np.searchsorted(sizes, lengths[listed])]
     groups = []
-    for size in np.unique(padded).tolist():
-        members = listed[padded == size]
-        offset = np.arange(size)[:, None]
+    for size in np.unique(size_class).tolist():
+        members = listed[size_class == size]
+        offset = np.arange(lengths[members].max())[:, None]
         at = np.minimum(rows.indptr[members] + offset, len(rows.indices) - 1)
         slab = np.where(offset < lengths[members], rows.indices[at], pad)
         groups.append((members, slab.astype(np.intp)))

@@ -1,7 +1,10 @@
 """Synthetic rating datasets and ring-lattice rewiring experiments.
 
-A ring lattice is written as its rows in closed form; rewiring sorts its
-per-vertex neighbour sets back into rows.
+A ring lattice is written as its rows in closed form, and its mean path
+length is a closed form too.  Rewiring turns only the rows it reads or
+moves into neighbour sets and writes those back sorted, among the other
+rows copied as they stood; a rewiring that moves no edge hands back the
+lattice itself, which the small-world curve then does not measure again.
 
 The dataset generator hands person b (1-based, most active first) the first
 ceil(n_movies * b**-epsilon) movies, then re-points each initial rating, with
@@ -204,10 +207,13 @@ def rewire(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
     smaller-id endpoint u and re-attaches the other end: uniformly over
     non-self, non-adjacent targets, or with probability proportional to
     current degree in preferential mode.  Edges with no valid target are
-    left in place and counted in ``skipped``.
+    left in place and counted in ``skipped``.  When no edge moves, ``g``
+    itself comes back.
 
     The walk runs on vertex indices.  Vertex ids are sorted, so index order
-    is id order and every draw picks the vertex an id-keyed walk would.
+    is id order and every draw picks the vertex an id-keyed walk would.  A
+    row becomes a set the first time the walk reads or moves it; the new
+    rows copy every other row's arcs as they stand.
     """
     if not 0 <= p <= 1:
         raise ValueError("rewire probability must lie in [0, 1]")
@@ -216,31 +222,63 @@ def rewire(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
     rng = random.Random(f"rewire:{seed}")
     n = g.n
     csr = g.adjacency_csr()
-    indptr = csr.indptr.tolist()
-    nbrs = csr.indices.tolist()
-    adj = [set(nbrs[indptr[i]:indptr[i + 1]]) for i in range(n)]
-    degrees = _Fenwick(g.degrees().tolist()) if mode == PREFERENTIAL else None
+    starts = csr.indptr.tolist()
+    arcs = memoryview(csr.indices)  # its slices read as ints, faster than tolist()
+    adj = [None] * n  # neighbour sets, for the rows the walk has touched
+
+    def row(i):
+        adj[i] = set(arcs[starts[i]:starts[i + 1]])
+        return adj[i]
+
+    if mode == UNIFORM:
+        pick, pool, degrees = _uniform_target, n, None
+    else:
+        pick = _preferential_target
+        pool = degrees = _Fenwick(g.degrees().tolist())
     skipped = 0
+    moved = False
+    draw = rng.random
     for u, v in zip(*(end.tolist() for end in g.edges())):
-        if rng.random() >= p:
+        if draw() >= p:
             continue
-        if mode == UNIFORM:
-            target = _uniform_target(rng, n, u, adj[u])
-        else:
-            target = _preferential_target(rng, degrees, u, adj[u])
+        taken = adj[u]
+        if taken is None:
+            taken = row(u)
+        target = pick(rng, pool, u, taken)
         if target is None:
             skipped += 1
             continue
-        adj[u].discard(v)
-        adj[v].discard(u)
-        adj[u].add(target)
-        adj[target].add(u)
+        moved = True
+        taken.discard(v)
+        taken.add(target)
+        other = adj[v]
+        (other if other is not None else row(v)).discard(u)
+        other = adj[target]
+        (other if other is not None else row(target)).add(u)
         if degrees is not None:
             degrees.add(v, -1)
             degrees.add(target, 1)
+    if not moved:
+        return g, skipped
+    touched = [i for i, nbrs in enumerate(adj) if nbrs is not None]
+    rows = [adj[i] for i in touched]
+    lengths = np.diff(csr.indptr)
+    new_lengths = lengths.copy()
+    new_lengths[touched] = list(map(len, rows))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in adj], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(map(sorted, adj)), dtype=np.int64)
+    np.cumsum(new_lengths, out=indptr[1:])
+    kept = np.ones(n, dtype=bool)
+    kept[touched] = False
+    # untouched rows keep their order and lengths, so one mask on each side
+    # lines their arcs up; the touched rows sort as (row, neighbour) keys
+    copied = np.repeat(kept, new_lengths)
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[copied] = csr.indices[np.repeat(kept, lengths)]
+    keys = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                       count=len(indices) - int(copied.sum()))
+    keys += np.repeat(np.array(touched, dtype=np.int64) * n, new_lengths[touched])
+    keys.sort()
+    indices[~copied] = keys % n
     return SocialGraph(g.vertices, Csr(indptr, indices)), skipped
 
 
@@ -275,12 +313,9 @@ class _Fenwick:
         self.values = list(values)
         self.total = sum(self.values)
         n = len(self.values)
-        tree = [0, *self.values]
-        for i in range(1, n + 1):
-            j = i + (i & -i)
-            if j <= n:
-                tree[j] += tree[i]
-        self._tree = tree
+        prefix = np.cumsum([0, *self.values])
+        i = np.arange(n + 1)
+        self._tree = (prefix - prefix[i - (i & -i)]).tolist()
         self._top = 1 << n.bit_length() >> 1  # largest power of 2 <= n
 
     def add(self, index, delta):
@@ -357,19 +392,35 @@ def _giant_clustering(graph: SocialGraph) -> float:
     return float(_local_clustering(graph)[in_giant].mean())
 
 
+def _lattice_path_length(n: int, k: int) -> float:
+    """Mean shortest-path length of ``generate_wreath(n, k)``, in closed form.
+
+    A vertex j ring steps away (j <= n / 2) is ceil(j / (k / 2)) hops off,
+    so the hops over all ordered pairs sum to n * S, with S the sum over
+    j = 1 .. n - 1.  Dividing S by n - 1 is the same rational as the
+    distance pass's n * S / (n * (n - 1)), and int division rounds
+    correctly, so the float is the pass's bit for bit.
+    """
+    half = k // 2
+    return sum(-(-min(j, n - j) // half) for j in range(1, n)) / (n - 1)
+
+
 def small_world_curve(cfg: WreathConfig, p_values, trials: int = 1):
     """Scaled path length and clustering versus rewiring probability.
 
     Every measurement runs on the giant component and is scaled by the
     untouched lattice's values; each (p, trial) pair rewires a fresh lattice
-    with seed ``f"{cfg.seed}:{trial}:{p_index}"``.  Returns CurvePoints in
-    p_values order; p = 0 comes back as exactly (1.0, 1.0).  A lattice with
-    k = 2 has no clustering to scale by, so every c_ratio is then None.
+    with seed ``f"{cfg.seed}:{trial}:{p_index}"``.  The lattice's path
+    length comes in closed form (see :func:`_lattice_path_length`), and a
+    trial whose rewiring moves no edge adds the lattice's own values without
+    measuring them again.  Returns CurvePoints in p_values order; p = 0
+    comes back as exactly (1.0, 1.0).  A lattice with k = 2 has no
+    clustering to scale by, so every c_ratio is then None.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     lattice = generate_wreath(cfg.n, cfg.k)
-    base_l = measure_l_pp(lattice).l_pp
+    base_l = _lattice_path_length(cfg.n, cfg.k)
     base_c = clustering_coefficient(lattice)
     points = []
     for i, p in enumerate(p_values):
@@ -381,6 +432,11 @@ def small_world_curve(cfg: WreathConfig, p_values, trials: int = 1):
         c_total = 0.0
         for t in range(trials):
             graph, _ = rewire(lattice, p, cfg.mode, seed=f"{cfg.seed}:{t}:{i}")
+            if graph is lattice:
+                # no edge moved; a connected lattice's giant is all of it
+                l_total += base_l
+                c_total += base_c
+                continue
             l_total += measure_l_pp(graph).l_pp
             c_total += _giant_clustering(graph)
         points.append(CurvePoint(

@@ -474,6 +474,7 @@ BAD_ROWS = {
     ("csv", "wrong_field_count"): (b"person,movie\n1,10\n2,3,4\n", 3),
     ("csv", "rating_not_numeric"): (b"person,movie,rating\n1,10,5\n2,3,x\n", 3),
     ("csv", "field_past_csv_limit"): (b"person,movie\n1,10\n" + b"1" * 131_073 + b",4\n", 3),
+    ("csv", "quoted_newline_then_bad_id"): (b'person,movie\n"1\n",10\n2,x\n', 4),
 }
 
 

@@ -1,11 +1,13 @@
-"""Golden outputs: the SHA-256 of every CSV five small CLI runs write.
+"""Golden outputs: the SHA-256 of every CSV six small CLI runs write.
 
 The rating file is the benchmark's seeded ML-100k-shaped stand-in
 (``perfbench/standins.py``, seed 0), written by the ``standin`` fixture in
 ``conftest.py``.  The other CLI tests compare two runs of the same code;
 these digests pin the bytes themselves, so a rewrite that moves any output
 byte fails here.  ``sweep-chain`` walks widths 1..30, so every width there
-is cut from the one before it.
+is cut from the one before it.  ``ws-lattice`` is the benchmark's n = 1000,
+k = 10 run: its 16-word BFS blocks switch to the slab pull, and two of its
+trials move no edge.
 """
 
 import hashlib
@@ -31,6 +33,8 @@ GOLDEN = {
         "f040808060a01d6e201e1f5714af5ed1bbf8ab2d475e3e75c11a3ec6acacea6f",
     ("ws", "ws.csv"):
         "8243fb4809a77cab2485777b115433a42d68c22803b03c6dbf1a92fa5c39bc52",
+    ("ws-lattice", "ws.csv"):
+        "8d2a23fdc2ef3f020d8e052f418b03818eb1d388d3b384bdc64d1302139e7112",
 }
 
 
@@ -44,10 +48,12 @@ def _runs(path):
         "synth-study": ["synth-study", "--kappa-min", "1", "--kappa-max", "3",
                         "--w-min", "1", "--w-max", "6"],
         "ws": ["ws", "--n", "200", "--k", "6", "--mode", "both", "--trials", "2"],
+        "ws-lattice": ["ws", "--n", "1000", "--k", "10", "--mode", "both", "--trials", "3"],
     }
 
 
-@pytest.mark.parametrize("command", ["sweep", "sweep-chain", "cdf", "synth-study", "ws"])
+@pytest.mark.parametrize("command", ["sweep", "sweep-chain", "cdf", "synth-study", "ws",
+                                     "ws-lattice"])
 def test_csv_digests_match_golden(command, standin, tmp_path, capsys):
     out = tmp_path / command
     assert main(_runs(standin)[command] + ["--out", str(out)]) == 0

@@ -320,12 +320,12 @@ def test_path_means_match_floyd_warshall_past_one_word(giant, block_bytes, monke
     # budget leaves one word per block, so 65 or more sources run in blocks.
     # Isolated people, a group outside the giant, movies only outsiders rate
     # and unrated movies are never reached; max_sources takes the sampled path.
-    # With no slab levels every block of more than one word pulls through
-    # the padded slabs from its first level.
+    # With no slab word-levels every block of more than one word pulls
+    # through the padded slabs from its first level.
     if block_bytes is not None:
         monkeypatch.setattr(metrics, "BFS_BLOCK_BYTES", block_bytes)
-    for seed, slab_levels in itertools.product(range(2), (metrics.BFS_SLAB_LEVELS, 0)):
-        monkeypatch.setattr(metrics, "BFS_SLAB_LEVELS", slab_levels)
+    for seed, slab_levels in itertools.product(range(2), (metrics.BFS_SLAB_WORD_LEVELS, 0)):
+        monkeypatch.setattr(metrics, "BFS_SLAB_WORD_LEVELS", slab_levels)
         g = ratings_with_giant(seed, giant)
         gs = apply_jump(g, 1)
         gr = RecommenderGraph(g, gs)
@@ -367,6 +367,29 @@ def test_ring_lattice_l_pp_closed_form(n, k, block_bytes, monkeypatch):
     hops = sum(-(-min(r, n - r) // (k // 2)) for r in range(1, n))
     stats = measure_l_pp(generate_wreath(n, k))
     assert (stats.l_pp, stats.pairs_pp) == (hops / (n - 1), n * (n - 1))
+
+
+@pytest.mark.parametrize("slab_word_levels", [None, 0])
+def test_slab_pull_matches_floyd_warshall_on_mixed_row_lengths(slab_word_levels, monkeypatch):
+    # a 130-ring of degree 10, with chords across it at 0..19 and 65..84 and
+    # every other ring edge dropped at 100..119, has rows of 9, 10 and 11:
+    # one size class (12), padded to 11.  The 130 sources run as one 3-word
+    # block, which switches to the slab pull at level 6, or at level 1 with
+    # no slab word-levels.
+    if slab_word_levels is not None:
+        monkeypatch.setattr(metrics, "BFS_SLAB_WORD_LEVELS", slab_word_levels)
+    n = 130
+    dropped = {(i, i + 1) for i in range(100, 120, 2)}
+    ring = [(i, (i + r) % n) for i in range(n) for r in range(1, 6)]
+    edges = [e for e in ring if e not in dropped] + [(i, i + 65) for i in range(20)]
+    gs = social_graph(range(n), [(min(e), max(e)) for e in edges])
+    assert sorted(set(gs.degrees().tolist())) == [9, 10, 11]
+    (rows, slab), = metrics._slabs(gs.adjacency_csr(), n)
+    assert slab.shape == (11, n) and np.array_equal(rows, np.arange(n))
+    dist = floyd_warshall(n, [(u, v) for u, v in social_edges(gs)], directed=False)
+    expected, count = mean_over_pairs(dist, range(n), range(n))
+    stats = measure_l_pp(gs)
+    assert (stats.l_pp, stats.pairs_pp) == (expected, count)
 
 
 def test_mixture_identity_exact():

@@ -270,8 +270,19 @@ def test_wreath_validation():
 def test_rewire_p_zero_is_identity():
     g = generate_wreath(20, 4)
     r, skipped = rewire(g, 0.0)
-    assert set(social_edges(r)) == set(social_edges(g))
+    assert r is g
     assert skipped == 0
+
+
+@pytest.mark.parametrize("mode", [UNIFORM, PREFERENTIAL])
+def test_rewire_that_selects_no_edge_returns_the_graph_itself(mode):
+    # at p = 1e-4 seed 3 selects none of the lattice's 5000 edges; seed 0 one
+    lattice = generate_wreath(1000, 10)
+    r, skipped = rewire(lattice, 1e-4, mode, seed=3)
+    assert r is lattice and skipped == 0
+    r, _ = rewire(lattice, 1e-4, mode, seed=0)
+    assert r is not lattice
+    assert set(social_edges(r)) != set(social_edges(lattice))
 
 
 def test_rewire_preserves_edge_count_and_simplicity():
@@ -304,9 +315,10 @@ def test_rewire_deterministic_per_seed():
 
 def test_rewire_complete_graph_skips_everything():
     k5 = generate_wreath(5, 4)  # complete graph on 5 vertices
-    r, skipped = rewire(k5, 1.0, UNIFORM, seed=1)
-    assert skipped == 10
-    assert set(social_edges(r)) == set(social_edges(k5))
+    for mode in (UNIFORM, PREFERENTIAL):
+        r, skipped = rewire(k5, 1.0, mode, seed=1)
+        assert skipped == 10
+        assert r is k5
 
 
 def _assert_rewire_matches_oracle(g, p, mode, seed):
@@ -320,7 +332,7 @@ def _assert_rewire_matches_oracle(g, p, mode, seed):
 
 
 @pytest.mark.parametrize("mode", [UNIFORM, PREFERENTIAL])
-@pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("p", [1e-3, 1e-2, 0.05, 0.5, 1.0])
 def test_rewire_matches_id_space_oracle(p, mode):
     # random_social ids are often non-contiguous, so an index taken for an id
     # shows here; in a lattice every id equals its index
@@ -344,6 +356,15 @@ def test_rewire_matches_oracle_when_rejection_starves(mode, missing):
     for p in (0.05, 0.5, 1.0):
         for seed in range(3):
             _assert_rewire_matches_oracle(g, p, mode, seed)
+
+
+@pytest.mark.parametrize("mode", [UNIFORM, PREFERENTIAL])
+@pytest.mark.parametrize("p", [1e-3, 1e-2])
+def test_rewire_matches_oracle_when_few_lattice_rows_move(p, mode):
+    # a few rewritten rows land among rows copied as they stood
+    lattice = generate_wreath(1000, 10)
+    for seed in range(3):
+        _assert_rewire_matches_oracle(lattice, p, mode, seed)
 
 
 @pytest.mark.parametrize("mode", [UNIFORM, PREFERENTIAL])
@@ -437,6 +458,29 @@ def test_curve_unscaled_base_values():
     lattice = generate_wreath(12, 4)
     assert abs(measure_l_pp(lattice).l_pp - 21 / 11) < 1e-9
     assert clustering_coefficient(lattice) == 0.5
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (5, 4), (7, 6), (12, 4), (30, 4), (65, 4),
+                                  (100, 6), (999, 12), (1000, 10)])
+def test_lattice_path_length_is_the_distance_pass_float(n, k):
+    assert synth._lattice_path_length(n, k) == measure_l_pp(generate_wreath(n, k)).l_pp
+
+
+def test_curve_measures_only_trials_that_move_an_edge(monkeypatch):
+    # at p = 1e-4 trials 0, 1 and 2 of seed 0 select 0, 2 and 1 of the
+    # lattice's 5000 edges; the lattice itself is never measured
+    calls = []
+    measure = synth.measure_l_pp
+    monkeypatch.setattr(synth, "measure_l_pp", lambda g: calls.append(g) or measure(g))
+    cfg = WreathConfig(n=1000, k=10, seed=0)
+    point = small_world_curve(cfg, [0.0, 1e-4], trials=3)[1]
+    assert len(calls) == 2
+    lattice = generate_wreath(1000, 10)
+    base_l = measure(lattice).l_pp
+    rewired = [rewire(lattice, 1e-4, seed=f"0:{t}:1")[0] for t in (1, 2)]
+    assert rewire(lattice, 1e-4, seed="0:0:1")[0] is lattice
+    l_total = base_l + measure(rewired[0]).l_pp + measure(rewired[1]).l_pp
+    assert point.l_ratio == (l_total / 3) / base_l
 
 
 def giant_clustering_oracle(gs):
