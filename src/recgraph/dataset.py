@@ -2,10 +2,10 @@
 
 Two on-disk formats are supported: the tab-separated layout used by the
 MovieLens distributions (person, movie, rating, timestamp; no header) and a
-generic CSV with a ``person,movie[,rating]`` header.  A tab file is read
-by a numpy scan over its bytes when every line keeps to a strict grammar of
-ASCII digits and tabs; any other file is read row by row, which also names
-the first malformed line.  Parsed ratings become an immutable bipartite
+generic CSV with a ``person,movie[,rating]`` header.  Either is read by a
+numpy scan over its bytes when every line keeps to a strict grammar of
+ASCII digits and separators; any other file is read row by row, which also
+names the first malformed line.  Parsed ratings become an immutable bipartite
 graph, built from one (m, 2) array of (person, movie) ids, and everything
 downstream (jumps, metrics, the synthetic generator) works from that graph.
 
@@ -161,7 +161,7 @@ def _vertex_ids(endpoints, given, side) -> np.ndarray:
 
 # -- parsing -------------------------------------------------------------
 
-# Bytes read at a time by the tab loader; a block's index arrays stay in
+# Bytes read at a time by the byte scan; a block's index arrays stay in
 # cache (ML-100k is eight blocks), and memory stays bounded as files grow.
 LOAD_BLOCK_CHARS = 256 << 10
 
@@ -172,8 +172,7 @@ _ID_MAX = 2**63 - 1
 # Longest id or timestamp the byte scan reads: 18 digits always fit in int64.
 _SCAN_DIGITS = 18
 
-_TAB, _LF, _CR, _DOT, _ZERO = b"\t\n\r.0"
-_LINE_SEPARATORS = np.array([_TAB, _TAB, _TAB, _LF], dtype=np.uint8)
+_TAB, _COMMA, _LF, _CR, _DOT, _ZERO = b"\t,\n\r.0"
 
 
 def _parse_int(field, path, lineno, what, limit=_ID_MAX):
@@ -189,13 +188,14 @@ def _parse_int(field, path, lineno, what, limit=_ID_MAX):
     return value
 
 
-def _scan_tab_block(data) -> np.ndarray | None:
+def _scan_block(data, sep, width) -> np.ndarray | None:
     """(m, 2) person/movie array of whole lines, the last ending in LF, or None.
 
-    Reads only the strict grammar: four tab-separated fields ended by LF
-    or CRLF, with person, movie and timestamp of 1-18 ASCII digits and a
-    rating of digits with at most one inner ``.``; empty lines are
-    skipped.  Any other byte or shape gives None.
+    Reads only the strict grammar: ``width`` fields split by the byte
+    ``sep`` and ended by LF or CRLF, with a rating (field 2, when there is
+    one) of digits with at most one inner ``.`` and every other field of
+    1-18 ASCII digits; empty lines are skipped.  Any other byte or shape
+    gives None.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     cr = np.flatnonzero(buf == _CR)
@@ -211,18 +211,19 @@ def _scan_tab_block(data) -> np.ndarray | None:
     other = np.flatnonzero((buf - _ZERO) >= 10)  # every byte but the ASCII digits
     is_dot = buf[other] == _DOT
     dots, seps = other[is_dot], other[~is_dot]
-    if len(seps) % 4 or (buf[seps].reshape(-1, 4) != _LINE_SEPARATORS).any():
+    line_ends = np.array([sep] * (width - 1) + [_LF], dtype=np.uint8)
+    if len(seps) % width or (buf[seps].reshape(-1, width) != line_ends).any():
         return None
-    fields = np.diff(seps, prepend=-1).reshape(-1, 4) - 1  # field lengths, one row per line
-    if fields.size and (fields.min() < 1 or fields[:, [0, 1, 3]].max() > _SCAN_DIGITS):
+    fields = np.diff(seps, prepend=-1).reshape(-1, width) - 1  # field lengths, one row per line
+    if fields.size and (fields.min() < 1 or fields[:, np.arange(width) != 2].max() > _SCAN_DIGITS):
         return None
     if len(dots):
         field = np.searchsorted(seps, dots)
         # the last byte is a newline, so dots - 1 and dots + 1 are in range
-        if ((field % 4 != 2).any() or (np.diff(field) == 0).any()
+        if ((field % width != 2).any() or (np.diff(field) == 0).any()
                 or ((buf[dots - 1] - _ZERO) >= 10).any() or ((buf[dots + 1] - _ZERO) >= 10).any()):
             return None
-    return _digit_values(buf, seps.reshape(-1, 4)[:, :2], fields[:, :2])
+    return _digit_values(buf, seps.reshape(-1, width)[:, :2], fields[:, :2])
 
 
 def _digit_values(buf, ends, lengths) -> np.ndarray:
@@ -234,81 +235,81 @@ def _digit_values(buf, ends, lengths) -> np.ndarray:
     return values
 
 
-def _scan_tab_bytes(path) -> np.ndarray | None:
-    """(m, 2) person/movie array of a strict tab file, or None.
+def _scan_bytes(path, fmt) -> np.ndarray | None:
+    """(m, 2) person/movie array of a file in the strict grammar, or None.
 
-    Reads blocks of at most ``LOAD_BLOCK_CHARS`` bytes, cuts each at its
-    last newline and carries the rest into the next; a leading UTF-8
-    byte-order mark is skipped.  None as soon as a block leaves the strict
-    grammar of ``_scan_tab_block``.
+    A tab file has four fields a line.  A CSV file's first line must be
+    exactly ``person,movie`` or ``person,movie,rating``, which sets its
+    field count; any other header gives None.  Reads blocks of at most
+    ``LOAD_BLOCK_CHARS`` bytes, cuts each at its last newline and carries
+    the rest into the next; a leading UTF-8 byte-order mark is skipped.
+    None as soon as a block leaves the grammar of ``_scan_block``.
     """
     blocks = [np.empty((0, 2), dtype=np.int64)]
     with open(path, "rb") as fh:
         head = fh.read(len(codecs.BOM_UTF8))
         rest = b"" if head == codecs.BOM_UTF8 else head
+        sep, width = _TAB, 4
+        if fmt == GENERIC_CSV:
+            # the shortest header is longer than the bytes read for a BOM
+            header = (rest + fh.readline()).removesuffix(b"\n").removesuffix(b"\r")
+            sep, rest = _COMMA, b""
+            width = {b"person,movie": 2, b"person,movie,rating": 3}.get(header)
+            if width is None:
+                return None
         while chunk := fh.read(LOAD_BLOCK_CHARS):
             data = rest + chunk
             cut = data.rfind(b"\n") + 1
-            blocks.append(_scan_tab_block(memoryview(data)[:cut]))
+            blocks.append(_scan_block(memoryview(data)[:cut], sep, width))
             rest = data[cut:]
             if blocks[-1] is None:
                 return None
-    blocks.append(_scan_tab_block(rest + b"\n"))  # a last line without its newline
+    blocks.append(_scan_block(rest + b"\n", sep, width))  # a last line without its newline
     return None if blocks[-1] is None else np.concatenate(blocks)
 
 
-def _scan_tab_rows(path):
-    """Yield the (person, movie) pair of each rating row of a tab file.
+def _scan_rows(path, fmt):
+    """Yield the (person, movie) pair of each rating row, read by ``csv.reader``.
 
-    The lenient path, for files the byte scan rejects: fields take what
-    ``int`` and ``float`` take (signs, underscores, padding, non-ASCII
-    digits), and a lone CR ends a line.  Raises ParseError at the first bad
-    line; an undecodable byte stays in its line (as a lone surrogate) and
-    fails the field parse there.
+    The lenient path, for files the byte scan rejects.  A tab file has four
+    unquoted fields a row and needs its rating; a CSV file takes the csv
+    module's quoting, a ``person,movie[,rating]`` header in any case and
+    spacing, and a blank rating.  Fields take what ``int`` and ``float``
+    take (signs, underscores, padding, non-ASCII digits), and a lone CR
+    ends a line.  Raises ParseError at the first bad line; an undecodable
+    byte stays in its line (as a lone surrogate) and fails the field parse
+    there.
     """
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ParseError(path, lineno, f"expected 4 tab-separated fields, got {len(fields)}")
-            person = _parse_int(fields[0], path, lineno, "person id")
-            movie = _parse_int(fields[1], path, lineno, "movie id")
-            try:
-                float(fields[2])
-            except ValueError:
-                raise ParseError(path, lineno, f"rating is not numeric: {fields[2]!r}") from None
-            _parse_int(fields[3], path, lineno, "timestamp", limit=None)
-            yield person, movie
-
-
-def _iter_generic_csv(path):
+    tab = fmt == MOVIELENS_TAB
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE) if tab else csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise EmptyDatasetError(f"{path}: empty file")
-            header = [h.strip().lower() for h in header]
-            if header[:2] != ["person", "movie"] or len(header) > 3 or (
-                    len(header) == 3 and header[2] != "rating"):
-                raise ParseError(path, 1, "header must be person,movie[,rating]")
-            has_rating = len(header) == 3
+            width = 4
+            if not tab:
+                header = next(reader, None)
+                if header is None:
+                    raise EmptyDatasetError(f"{path}: empty file")
+                width = len(header)
+                if [h.strip().lower() for h in header] not in (
+                        ["person", "movie"], ["person", "movie", "rating"]):
+                    raise ParseError(path, 1, "header must be person,movie[,rating]")
             for row in reader:
-                if not row or all(not cell.strip() for cell in row):
+                if not any(cell.strip() for cell in row):
                     continue
                 lineno = reader.line_num  # a quoted field may span lines
-                if len(row) != len(header):
-                    raise ParseError(path, lineno, f"expected {len(header)} fields, got {len(row)}")
-                person = _parse_int(row[0].strip(), path, lineno, "person id")
-                movie = _parse_int(row[1].strip(), path, lineno, "movie id")
-                if has_rating and row[2].strip():
+                if len(row) != width:
+                    kind = "tab-separated fields" if tab else "fields"
+                    raise ParseError(path, lineno, f"expected {width} {kind}, got {len(row)}")
+                ids = row[:2] if tab else [cell.strip() for cell in row[:2]]
+                person = _parse_int(ids[0], path, lineno, "person id")
+                movie = _parse_int(ids[1], path, lineno, "movie id")
+                if width > 2 and (tab or row[2].strip()):
                     try:
                         float(row[2])
                     except ValueError:
                         raise ParseError(path, lineno, f"rating is not numeric: {row[2]!r}") from None
+                if tab:
+                    _parse_int(row[3], path, lineno, "timestamp", limit=None)
                 yield person, movie
         except csv.Error as exc:  # a field past csv.field_size_limit(), say
             raise ParseError(path, reader.line_num, str(exc)) from None
@@ -317,24 +318,22 @@ def _iter_generic_csv(path):
 def load_ratings(path, fmt=MOVIELENS_TAB) -> BipartiteRatings:
     """Parse a ratings file into a BipartiteRatings graph.
 
-    The tab format is read from its bytes, one block at a time, by a numpy
-    scan of a strict grammar (ASCII digits, tabs, LF or CRLF line ends).
-    A file with anything else, such as padded or signed fields, lone CR
-    line ends or ids of 19 digits or more, is read again row by row from
-    line 1.  Malformed rows, undecodable bytes and person or movie ids past
-    int64 raise ParseError with the 1-based line number.  Duplicate
-    (person, movie) rows collapse to one edge and are counted on the
-    returned graph.  A file with no rating rows raises EmptyDatasetError.
-    A leading UTF-8 byte-order mark is skipped.
+    Both formats are read from their bytes, one block at a time, by a
+    numpy scan of a strict grammar: ASCII digits, tabs (or commas after an
+    exact lower-case ``person,movie[,rating]`` CSV header), LF or CRLF line
+    ends.  A file with anything else, such as padded, signed or quoted
+    fields, lone CR line ends or ids of 19 digits or more, is read again
+    row by row from line 1.  Malformed rows, undecodable bytes and person
+    or movie ids past int64 raise ParseError with the 1-based line number.
+    Duplicate (person, movie) rows collapse to one edge and are counted on
+    the returned graph.  A file with no rating rows raises
+    EmptyDatasetError.  A leading UTF-8 byte-order mark is skipped.
     """
-    if fmt == MOVIELENS_TAB:
-        pairs = _scan_tab_bytes(path)
-        if pairs is None:
-            pairs = np.fromiter(_scan_tab_rows(path), dtype=(np.int64, 2))
-    elif fmt == GENERIC_CSV:
-        pairs = _iter_generic_csv(path)
-    else:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format: {fmt!r} (expected one of {FORMATS})")
+    pairs = _scan_bytes(path, fmt)
+    if pairs is None:
+        pairs = np.fromiter(_scan_rows(path, fmt), dtype=(np.int64, 2))
     graph = BipartiteRatings(pairs)
     if graph.edge_count == 0:
         raise EmptyDatasetError(f"{path}: no ratings found")

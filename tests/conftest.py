@@ -56,3 +56,13 @@ def standin(tmp_path_factory):
     finally:
         mp.undo()
     return path
+
+
+@pytest.fixture(scope="session")
+def standin_csv(standin, tmp_path_factory):
+    """The ``standin`` fixture's ratings rewritten as a ``person,movie,rating`` CSV."""
+    rows = (line.split("\t")[:3] for line in standin.read_text(encoding="utf-8").splitlines())
+    path = tmp_path_factory.mktemp("standin_csv") / "ratings.csv"
+    path.write_text("person,movie,rating\n" + "".join(",".join(row) + "\n" for row in rows),
+                    encoding="utf-8")
+    return path

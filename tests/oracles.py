@@ -12,6 +12,7 @@ the array-reading helpers at the top rather than package lookups.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from dataclasses import dataclass
@@ -181,6 +182,47 @@ def _oracle_iter_movielens_tab(path):
 def load_movielens_tab_oracle(path) -> OracleRatings:
     """Parse a tab-separated rating file one row at a time."""
     loaded = ratings_oracle(_oracle_iter_movielens_tab(path))
+    if not loaded.edges:
+        raise EmptyDatasetError(f"{path}: no ratings found")
+    return loaded
+
+
+def _oracle_iter_csv(path):
+    # the csv module splits the rows: quoted fields may hold commas and newlines
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyDatasetError(f"{path}: empty file")
+            names = [name.strip().lower() for name in header]
+            if names not in (["person", "movie"], ["person", "movie", "rating"]):
+                raise ParseError(path, 1, "header must be person,movie[,rating]")
+            for row in reader:
+                if all(not cell.strip() for cell in row):
+                    continue
+                lineno = reader.line_num
+                if len(row) != len(names):
+                    raise ParseError(path, lineno, f"expected {len(names)} fields, got {len(row)}")
+                person = _oracle_parse_int(row[0].strip(), path, lineno, "person id")
+                movie = _oracle_parse_int(row[1].strip(), path, lineno, "movie id")
+                if len(row) == 3 and row[2].strip():
+                    try:
+                        float(row[2])
+                    except ValueError:
+                        raise ParseError(path, lineno, f"rating is not numeric: {row[2]!r}") from None
+                yield person, movie
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, str(exc)) from None
+
+
+def load_csv_oracle(path) -> OracleRatings:
+    """Parse a ``person,movie[,rating]`` CSV file one row at a time.
+
+    The header is matched ignoring case and spaces; ids are stripped, and a
+    blank rating is allowed.
+    """
+    loaded = ratings_oracle(_oracle_iter_csv(path))
     if not loaded.edges:
         raise EmptyDatasetError(f"{path}: no ratings found")
     return loaded

@@ -157,6 +157,18 @@ def test_sweep_l_pp_follows_social_giant_when_giants_differ():
         assert row.sampled_sources == sampled
 
 
+def test_sweep_leaves_l_pp_empty_when_the_social_giant_is_one_person():
+    # at w=1 nobody shares a movie, so every person is isolated: the social
+    # giant is person 1 alone, and l_pp is undefined there, while the
+    # recommender giant is person 3 with its four movies, one hop each
+    (row,) = sweep_rows(BipartiteRatings([(1, 10), (2, 20), (3, 30), (3, 31), (3, 32), (3, 33)]),
+                        1, 1)
+    assert (row.giant_people, row.giant_movies, row.isolated_people) == (1, 4, 3)
+    assert row.l_pp_measured is None
+    assert row.l_r_measured == row.l_pm_measured == 1
+    assert row.sampled_sources == "all"
+
+
 def test_sweep_analyses_each_width_once(monkeypatch):
     calls = {"components": 0, "distances": 0, "rows": 0, "tables": 0}
     raters = []
@@ -428,10 +440,39 @@ def test_config_file_sets_boolean_none_and_typed_keys(tmp_path, capsys):
     cfg = resolve_config(main_args(["ws", "--config", str(cfg_file)]))
     assert cfg == RunConfig(command="ws", largest_only=True, max_sources=40, n_people=60,
                             p_values=(0.0, 0.5), mode="both")
+    cfg_file.write_text("largest_only = no\n", encoding="utf-8")
+    assert load_config_file(str(cfg_file)) == {"largest_only": False}
     for bad, kind in (("largest_only = maybe", "a boolean"), ("max_sources = all", "an integer")):
         cfg_file.write_text(bad + "\n", encoding="utf-8")
         assert main(["ws", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
         assert f"needs {kind}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    pytest.param(["ws", "--config", "absent.cfg"], None,
+                 "error: cannot read config file: ", id="unreadable_config"),
+    pytest.param(["ws", "--config", "run.cfg"], "seed 9\n",
+                 "error: run.cfg:1: expected key=value\n", id="line_without_equals"),
+    pytest.param(["ws", "--p-values", ","], None,
+                 "error: need at least one p value\n", id="no_p_values"),
+    pytest.param(["synth-study", "--config", "run.cfg"], "kappa_min = 5\nkappa_max = 2\n",
+                 "error: need 1 <= kappa_min <= kappa_max, got [5, 2]\n", id="inverted_kappa"),
+    pytest.param(["ws", "--trials", "0"], None,
+                 "error: trials must be at least 1\n", id="no_trials"),
+    pytest.param(["sweep", "--input", "ratings.tsv", "--max-sources", "0"], None,
+                 "error: max sources must be at least 1\n", id="no_sources"),
+    pytest.param(["ws", "--config", "run.cfg"], "mode = sideways\n",
+                 "error: mode must be uniform, preferential, or both; got 'sideways'\n",
+                 id="unknown_mode"),
+])
+def test_configuration_errors_exit_2(tmp_path, monkeypatch, capsys, argv, config, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
 
 
 def main_args(argv):

@@ -28,6 +28,7 @@ from recgraph.dataset import (
 
 from oracles import (
     edge_ids,
+    load_csv_oracle,
     load_movielens_tab_oracle,
     movies_by_person,
     people_by_movie,
@@ -259,19 +260,19 @@ def test_seeded_tab_files_match_row_oracle(tmp_path, monkeypatch, block_chars):
 
 
 def _forbid_row_scan(monkeypatch):
-    def row_scan(path):
+    def row_scan(path, fmt):
         raise AssertionError(f"{path} left the byte scan")
-    monkeypatch.setattr(dataset, "_scan_tab_rows", row_scan)
+    monkeypatch.setattr(dataset, "_scan_rows", row_scan)
 
 
 def _count_row_scans(monkeypatch) -> list:
     calls = []
-    scan = dataset._scan_tab_rows
+    scan = dataset._scan_rows
 
-    def counted(path):
+    def counted(path, fmt):
         calls.append(path)
-        return scan(path)
-    monkeypatch.setattr(dataset, "_scan_tab_rows", counted)
+        return scan(path, fmt)
+    monkeypatch.setattr(dataset, "_scan_rows", counted)
     return calls
 
 
@@ -351,18 +352,120 @@ def test_line_longer_than_a_block(tmp_path, monkeypatch, block_chars):
     assert ratings_of(load_ratings(path)) == expected
 
 
-def test_load_peak_memory_per_rating(tmp_path, monkeypatch):
-    # the loader peaked at 41.4 bytes a rating here (tracemalloc, numpy 2.4)
+# CSV files the loader must read exactly as the row-wise CSV oracle does, each
+# with whether the byte scan reads it whole (True) or the row scan runs (False).
+CSV_CASES = {
+    # strict: an exact lower-case header, ASCII digits, LF or CRLF
+    "plain": ("person,movie,rating\n1,10,5\n2,10,3\n1,11,4\n", True),
+    "two_field_header": ("person,movie\n1,10\n2,11\n007,0010\n", True),
+    "no_final_newline": ("person,movie,rating\n1,10,5\n2,11,4", True),
+    "crlf": ("person,movie,rating\r\n1,10,5\r\n2,11,4\r\n\r\n3,11,2\r\n", True),
+    "byte_order_mark": ("\ufeffperson,movie\n1,10\n2,10\n", True),
+    "blank_lines": ("person,movie\n\n1,10\n\n\n2,10\n\n", True),
+    "decimal_rating": ("person,movie,rating\n1,10,4.5\n2,10,10.25\n", True),
+    "duplicates": ("person,movie,rating\n1,10,5\n1,10,4\n2,10,3\n1,10,5\n", True),
+    # lenient: the csv module's quoting, any header case and spacing, blank ratings
+    "quoted_field": ('person,movie,rating\n"1",10,5\n2,"10","3"\n', False),
+    "quoted_header": ('"person","movie"\n1,10\n', False),
+    "upper_case_header": ("PERSON,Movie,RATING\n1,10,5\n", False),
+    "spaced_header": (" person , movie \n1,10\n", False),
+    "blank_rating": ("person,movie,rating\n1,10,4\n2,10,\n3,10,  \n", False),
+    "padded_ids": ("person,movie\n 1 ,10\n2,\t11 \n", False),
+    "signed_ids": ("person,movie\n+1,10\n2,+0\n-0,3\n", False),
+    "lone_cr": ("person,movie\n1,10\r2,11\r\r3,12", False),
+    "lone_cr_header": ("person,movie\r1,10\r", False),
+    "quoted_newline": ('person,movie\n"1\n",10\n2,10\n', False),
+    # errors
+    "bad_header": ("person,film\n1,10\n", False),
+    "header_too_wide": ("person,movie,rating,timestamp\n1,10,5,0\n", False),
+    "wrong_field_count": ("person,movie\n1,10\n2,11,4\n", False),
+    "rating_not_numeric": ("person,movie,rating\n1,10,5\n2,10,five\n", False),
+    "negative_id": ("person,movie\n1,10\n-1,10\n", False),
+    "float_id": ("person,movie,rating\n1,10,5\n1.5,10,5\n", False),
+    "padded_bad_id": ("person,movie,rating\n1,10,5\n2, x ,5\n", False),
+    "id_past_int64": ("person,movie\n1,10\n99999999999999999999,10\n", False),
+    "invalid_utf8": (b"person,movie\n1,10\n2,\xff\n", False),
+    "field_past_csv_limit": (b"person,movie\n1,10\n" + b"1" * 131_073 + b",4\n", False),
+    "header_only": ("person,movie,rating\n", True),
+    "empty": ("", False),
+    "blank_only": ("\n\n", False),
+}
+
+
+def _assert_csv_parse_matches_oracle(path):
+    got = _outcome(lambda: ratings_of(load_ratings(path, GENERIC_CSV)))
+    assert got == _outcome(lambda: load_csv_oracle(path))
+
+
+@pytest.mark.parametrize("block_chars", [ONE_BLOCK, 16])
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_csv_parse_matches_row_oracle(tmp_path, monkeypatch, name, block_chars):
+    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
+    calls = _count_row_scans(monkeypatch)
+    text, strict = CSV_CASES[name]
+    path = tmp_path / "r.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    _assert_csv_parse_matches_oracle(path)
+    assert calls == ([] if strict else [path])
+
+
+def _seeded_csv_file(seed) -> str:
+    """A header and random rows, mixed with blank lines and line endings.
+
+    Half the seeds keep to the byte scan's grammar but for the line
+    endings; the rest mix in quoting, padding, signs and blank ratings.
+    One seed in three plants one malformed line somewhere after the header.
+    """
+    rng = random.Random(f"csv:{seed}")
+    odd = seed % 2 == 1
+    header = rng.choice(["person,movie", "person,movie,rating"]
+                        + odd * ["Person, Movie", '"person","movie","rating"'])
+    width = header.count(",") + 1
+    bad = ["-1,10", "1,x", "1", "1,2,3,4", "p,2", "1,2,five", '"1,2']
+    lines = [header]
+    for _ in range(rng.randint(0, 300)):
+        kind = rng.random()
+        if kind < 0.08:
+            lines.append(rng.choice(["", "  ", ",", " , "]))
+            continue
+        p, m = rng.randint(0, 40), rng.randint(0, 60)
+        fields = [str(p), str(m), rng.choice(["5", "3.5", "10"])][:width]
+        if odd and kind < 0.15:
+            fields = [f'"{p}"', f" +{m} ", ""][:width]
+        lines.append(",".join(fields))
+    if seed % 3 == 0:
+        lines.insert(rng.randint(1, len(lines)), rng.choice(bad))
+    endings = rng.choice([["\n"], ["\r\n"], ["\n", "\r\n"], ["\n"] * 8 + ["\r"]])
+    return "".join(line + rng.choice(endings) for line in lines)
+
+
+@pytest.mark.parametrize("block_chars", [ONE_BLOCK, 200])
+def test_seeded_csv_files_match_row_oracle(tmp_path, monkeypatch, block_chars):
+    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
+    path = tmp_path / "r.csv"
+    for seed in range(60):
+        path.write_bytes(_seeded_csv_file(seed).encode("utf-8"))
+        _assert_csv_parse_matches_oracle(path)
+
+
+@pytest.mark.parametrize("fmt", [MOVIELENS_TAB, GENERIC_CSV])
+def test_load_peak_memory_per_rating(tmp_path, monkeypatch, fmt):
+    # the loader peaked at 41.4 bytes a rating here in either format
+    # (tracemalloc, numpy 2.4); the CSV row reader it replaced peaked at 165.2
     rng = np.random.default_rng(0)
     n = 200_000
     columns = (rng.integers(1, 6041, n), rng.integers(1, 3953, n), rng.integers(1, 6, n),
                rng.integers(956_703_932, 1_046_454_590, n))
-    path = tmp_path / "u.data"
-    path.write_text("".join(map("{}\t{}\t{}\t{}\n".format, *(c.tolist() for c in columns))))
+    path = tmp_path / "ratings"
+    if fmt == MOVIELENS_TAB:
+        path.write_text("".join(map("{}\t{}\t{}\t{}\n".format, *(c.tolist() for c in columns))))
+    else:
+        rows = map("{},{},{}\n".format, *(c.tolist() for c in columns[:3]))
+        path.write_text("person,movie,rating\n" + "".join(rows))
     monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", 64 << 10)
     tracemalloc.start()
     try:
-        g = load_ratings(path)
+        g = load_ratings(path, fmt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,13 +1,15 @@
-"""Golden outputs: the SHA-256 of every CSV six small CLI runs write.
+"""Golden outputs: the SHA-256 of every CSV seven small CLI runs write.
 
 The rating file is the benchmark's seeded ML-100k-shaped stand-in
 (``perfbench/standins.py``, seed 0), written by the ``standin`` fixture in
 ``conftest.py``.  The other CLI tests compare two runs of the same code;
 these digests pin the bytes themselves, so a rewrite that moves any output
-byte fails here.  ``sweep-chain`` walks widths 1..30, so every width there
-is cut from the one before it.  ``ws-lattice`` is the benchmark's n = 1000,
-k = 10 run: its 16-word BFS blocks switch to the slab pull, and two of its
-trials move no edge.
+byte fails here.  ``sweep-csv`` reads the same ratings as a
+``person,movie,rating`` CSV and must write the tab ``sweep`` run's bytes.
+``sweep-chain`` walks widths 1..30, so every width there is cut from the
+one before it.  ``ws-lattice`` is the benchmark's n = 1000, k = 10 run: its
+16-word BFS blocks switch to the slab pull, and two of its trials move no
+edge.
 """
 
 import hashlib
@@ -18,6 +20,8 @@ from recgraph.cli import main
 
 GOLDEN = {
     ("sweep", "sweep.csv"):
+        "13e24c32cb091a849911baaa1362af0e019afba4c3eb5e080e07c6a2f565c8ac",
+    ("sweep-csv", "sweep.csv"):
         "13e24c32cb091a849911baaa1362af0e019afba4c3eb5e080e07c6a2f565c8ac",
     ("sweep-chain", "sweep.csv"):
         "08bd01e03699aa32b24bc73d7faa84fea29637d922607695ada9c073b1a4ed80",
@@ -38,9 +42,11 @@ GOLDEN = {
 }
 
 
-def _runs(path):
+def _runs(path, csv_path):
     return {
         "sweep": ["sweep", "--input", str(path), "--w-min", "17", "--w-max", "18"],
+        "sweep-csv": ["sweep", "--input", str(csv_path), "--format", "csv",
+                      "--w-min", "17", "--w-max", "18"],
         "sweep-chain": ["sweep", "--input", str(path), "--w-min", "1", "--w-max", "30",
                         "--max-sources", "50"],
         "cdf": ["cdf", "--input", str(path), "--w-min", "1", "--w-max", "3",
@@ -52,11 +58,11 @@ def _runs(path):
     }
 
 
-@pytest.mark.parametrize("command", ["sweep", "sweep-chain", "cdf", "synth-study", "ws",
-                                     "ws-lattice"])
-def test_csv_digests_match_golden(command, standin, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["sweep", "sweep-csv", "sweep-chain", "cdf", "synth-study",
+                                     "ws", "ws-lattice"])
+def test_csv_digests_match_golden(command, standin, standin_csv, tmp_path, capsys):
     out = tmp_path / command
-    assert main(_runs(standin)[command] + ["--out", str(out)]) == 0
+    assert main(_runs(standin, standin_csv)[command] + ["--out", str(out)]) == 0
     capsys.readouterr()
     got = {(command, f.name): hashlib.sha256(f.read_bytes()).hexdigest()
            for f in sorted(out.iterdir())}
