@@ -139,7 +139,7 @@ def load_config_file(path) -> dict:
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()

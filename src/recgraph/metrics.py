@@ -5,18 +5,19 @@ and the small utilities (complementary degree CDFs, L-infinity discrepancy)
 the experiment drivers report.  Path lengths are exact breadth-first values:
 every graph here is unweighted, so one level-synchronous pass runs all
 giant-component sources at once, 64 to a machine word, and sums the hop
-counts as Python ints.  The pass reads the social graph's rows and, for a
-recommender graph, each movie's raters: movies are sinks there, so a movie
-is one hop past its nearest rater and G_r's own arc rows are never built.
+counts as Python ints.  The pass keeps one frontier over people and movies
+and pulls it through G_r's in-arcs: the social graph's rows, then, for a
+recommender graph, each movie's raters.  Movies are sinks there, so a movie
+is one hop past its nearest rater and G_r's out-arc rows are never built.
 Sources go in blocks sized so the gathered frontier bits stay within
 BFS_BLOCK_BYTES (or one word per arc, when that is more), which bounds
-memory however many sources run.  Each level pulls every row's frontier
-bits with one reduceat over the gathered arcs; a block of more than one
-word whose levels times words pass BFS_SLAB_WORD_LEVELS (a long search,
-such as a ring lattice's, or a wide block) switches to OR-reducing padded
-slabs of rows, which costs less per word but more to set up.  Above 5,000
-giant people the source set is uniformly sampled (seeded) instead, and the
-result says so.
+memory however many sources run.  Each level runs one pull over people and
+movie rows alike: one reduceat over the gathered arcs, until a block of more
+than one word passes BFS_SLAB_WORD_LEVELS levels times words (a long search,
+such as a ring lattice's, or a wide block) and switches to OR-reducing
+padded slabs of rows, which costs less per word but more to set up.
+Above 5,000 giant people the source set is uniformly sampled (seeded)
+instead, and the result says so.
 
 Everything is numpy on the social graph's adjacency rows.  Components
 come from one hook-and-compress labelling of its u < v edges, read off the
@@ -60,7 +61,8 @@ BFS_BLOCK_BYTES = 4 << 20
 # twice that before it switches.  Switching every block at level 1 made the
 # stand-in's widths 17 and 18 slower (from 67 to 100 ms); every block of
 # `sweep -w 1..30` on the stand-in and of the default `synth-study` ends
-# within four levels.
+# within four levels.  These timings were taken with an earlier kernel that
+# pulled the people and the movie frontiers apart, two pulls a level.
 BFS_SLAB_WORD_LEVELS = 16
 # Byte budget for the adjacency bitsets of one column range in the
 # clustering count, and for the bitsets of one block of edges gathered from
@@ -309,70 +311,60 @@ def _bfs_distance_sums(social, src_idx, raters):
     """Exact hop-count sums from every source: (sum_pp, pairs_pp, sum_pm, pairs_pm).
 
     Sources are people.  Row i of ``social`` lists person i's neighbours and
-    row j of ``raters`` the people who rated movie j.  Movies are sinks, one
-    hop past their nearest rater, so each level pulls both the people and
-    the movie frontier from the last level's people frontier.  Sources run
-    together, 64 to a uint64 word and 64 * k to a block: per level every row
-    ORs the frontier words of the people it lists, and the bits it had not
-    yet seen are the (source, target) pairs at that distance.  Sources are
-    visited at distance 0, so self-pairs never count, nor do unreachable pairs.
-    Once its levels times words pass BFS_SLAB_WORD_LEVELS, a block of more
-    than one word pulls through slabs (see :func:`_slabs`), built once per
-    call, into a second people frontier; both pulls give the same frontier.
+    row j of ``raters`` the people who rated movie j: G_r's in-arcs, since
+    movies are sinks, one hop past their nearest rater.  One pull table lists
+    the people rows, then the movie rows, and one frontier covers both.
+    Sources run together, 64 to a uint64 word and 64 * k to a block: per
+    level every row ORs the frontier words of the people it lists, and the
+    bits it had not yet seen are the (source, target) pairs at that distance.
+    Sources are visited at distance 0, so self-pairs never count, nor do
+    unreachable pairs.  Once its levels times words pass
+    BFS_SLAB_WORD_LEVELS, a block of more than one word pulls through slabs
+    (see :func:`_slabs`), built once per call; both pulls give the same
+    frontier.
     """
     n_people, n_movies = len(social.indptr) - 1, len(raters.indptr) - 1
+    n = n_people + n_movies
     # take() gathers fastest with native indices
-    social_idx = social.indices.astype(np.intp, copy=False)
-    rater_idx = raters.indices.astype(np.intp, copy=False)
+    rows = Csr(np.concatenate([social.indptr, raters.indptr[1:] + social.indptr[-1]]),
+               np.concatenate([social.indices, raters.indices]).astype(np.intp, copy=False))
     # reduceat yields an element, not zero, for an empty segment, so rows
-    # listing nobody are left out of the pull: an isolated source keeps its
-    # own bit, which the first mask clears, and an unrated movie stays zero
-    people_rows = np.flatnonzero(np.diff(social.indptr))
-    people_starts = social.indptr[people_rows]
-    movie_rows = np.flatnonzero(np.diff(raters.indptr))
-    movie_starts = raters.indptr[movie_rows]
-    size = max(len(social_idx) + len(rater_idx), n_people + n_movies)
-    words = max(1, BFS_BLOCK_BYTES // (8 * size))
-    movie_slabs = people_slabs = None
+    # listing nobody are left out of the pull.  Such a row keeps the
+    # frontier of two levels back, whose bits are all seen, so the mask
+    # clears them (an isolated source's own bit, or nothing)
+    listed = np.flatnonzero(np.diff(rows.indptr))
+    starts = rows.indptr[listed]
+    words = max(1, BFS_BLOCK_BYTES // (8 * max(len(rows.indices), n)))
+    slabs = None
     sum_pp = pairs_pp = sum_pm = pairs_pm = 0
     for lo in range(0, len(src_idx), 64 * words):
         block = src_idx[lo:lo + 64 * words]
         col = np.arange(len(block))
-        # one row past the people stays zero: the slab pull's padding
-        people = np.zeros((n_people + 1, -(-len(block) // 64)), dtype=np.uint64)
-        people[block, col // 64] = np.left_shift(np.uint64(1), (col % 64).astype(np.uint64))
-        seen_people = people.copy()
-        spare = np.zeros_like(people)  # the slab pull's second people frontier
-        movies = np.zeros((n_movies, people.shape[1]), dtype=np.uint64)
-        seen_movies = movies.copy()
+        # one row past the movies stays zero: the slab pull's padding
+        front = np.zeros((n + 1, -(-len(block) // 64)), dtype=np.uint64)
+        front[block, col // 64] = np.left_shift(np.uint64(1), (col % 64).astype(np.uint64))
+        seen = front.copy()
+        pulled = np.zeros_like(front)
         for d in itertools.count(1):
-            # movies first: they pull from the people frontier of level d - 1
-            if people.shape[1] > 1 and d * people.shape[1] > BFS_SLAB_WORD_LEVELS:
-                if people_slabs is None:
-                    movie_slabs = _slabs(raters, n_people)
-                    people_slabs = _slabs(social, n_people)
-                _slab_pull(movies, people, movie_slabs)
-                # rows the pull skips keep an older frontier, whose bits are
-                # all seen, so the mask below clears them
-                _slab_pull(spare, people, people_slabs)
-                people, spare = spare, people
+            if front.shape[1] > 1 and d * front.shape[1] > BFS_SLAB_WORD_LEVELS:
+                if slabs is None:
+                    slabs = _slabs(rows, n)
+                for members, slab in slabs:
+                    pulled[members] = np.bitwise_or.reduce(np.take(front, slab, axis=0), axis=0)
             else:
-                movies[movie_rows] = np.bitwise_or.reduceat(
-                    np.take(people, rater_idx, axis=0), movie_starts)
-                people[people_rows] = np.bitwise_or.reduceat(
-                    np.take(people, social_idx, axis=0), people_starts)
-            movies &= ~seen_movies
-            people &= ~seen_people
-            pp = int(np.bitwise_count(people).sum(dtype=np.int64))
-            pm = int(np.bitwise_count(movies).sum(dtype=np.int64))
+                pulled[listed] = np.bitwise_or.reduceat(
+                    np.take(front, rows.indices, axis=0), starts)
+            pulled &= ~seen
+            pp = int(np.bitwise_count(pulled[:n_people]).sum(dtype=np.int64))
+            pm = int(np.bitwise_count(pulled[n_people:n]).sum(dtype=np.int64))
             if pp + pm == 0:
                 break
             sum_pp += d * pp
             pairs_pp += pp
             sum_pm += d * pm
             pairs_pm += pm
-            seen_people |= people
-            seen_movies |= movies
+            seen |= pulled
+            front, pulled = pulled, front
     return sum_pp, pairs_pp, sum_pm, pairs_pm
 
 
@@ -400,12 +392,6 @@ def _slabs(rows, pad):
         slab = np.where(offset < lengths[members], rows.indices[at], pad)
         groups.append((members, slab.astype(np.intp)))
     return groups
-
-
-def _slab_pull(dst, src, groups):
-    """Row r of dst becomes the OR of the src rows that row r lists."""
-    for members, slab in groups:
-        dst[members] = np.bitwise_or.reduce(np.take(src, slab, axis=0), axis=0)
 
 
 def _path_lengths(social, raters, giant_people, max_sources, seed) -> PathLengthStats:

@@ -296,8 +296,6 @@ def _uniform_target(rng, n, u, taken):
         if t != u and t not in taken:
             return t
     pool = [t for t in range(n) if t != u and t not in taken]
-    if not pool:
-        return None  # pragma: no cover
     return pool[rng.randrange(len(pool))]
 
 

@@ -451,24 +451,27 @@ def test_config_file_sets_boolean_none_and_typed_keys(tmp_path, capsys):
 @pytest.mark.parametrize("argv, config, message", [
     pytest.param(["ws", "--config", "absent.cfg"], None,
                  "error: cannot read config file: ", id="unreadable_config"),
-    pytest.param(["ws", "--config", "run.cfg"], "seed 9\n",
+    pytest.param(["ws", "--config", "run.cfg"], b"seed = 1\n\xff = 2\n",
+                 "error: cannot read config file: 'utf-8' codec can't decode byte 0xff",
+                 id="config_not_utf8"),
+    pytest.param(["ws", "--config", "run.cfg"], b"seed 9\n",
                  "error: run.cfg:1: expected key=value\n", id="line_without_equals"),
     pytest.param(["ws", "--p-values", ","], None,
                  "error: need at least one p value\n", id="no_p_values"),
-    pytest.param(["synth-study", "--config", "run.cfg"], "kappa_min = 5\nkappa_max = 2\n",
+    pytest.param(["synth-study", "--config", "run.cfg"], b"kappa_min = 5\nkappa_max = 2\n",
                  "error: need 1 <= kappa_min <= kappa_max, got [5, 2]\n", id="inverted_kappa"),
     pytest.param(["ws", "--trials", "0"], None,
                  "error: trials must be at least 1\n", id="no_trials"),
     pytest.param(["sweep", "--input", "ratings.tsv", "--max-sources", "0"], None,
                  "error: max sources must be at least 1\n", id="no_sources"),
-    pytest.param(["ws", "--config", "run.cfg"], "mode = sideways\n",
+    pytest.param(["ws", "--config", "run.cfg"], b"mode = sideways\n",
                  "error: mode must be uniform, preferential, or both; got 'sideways'\n",
                  id="unknown_mode"),
 ])
 def test_configuration_errors_exit_2(tmp_path, monkeypatch, capsys, argv, config, message):
     monkeypatch.chdir(tmp_path)
     if config is not None:
-        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        (tmp_path / "run.cfg").write_bytes(config)
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(message)
@@ -662,6 +665,18 @@ def test_synth_study_files_and_kappa_skip(tmp_path, capsys):
     assert linf[0] == "kappa,epsilon,linf_l_pp"
     assert linf[1].split(",")[0] == "6" and linf[1].split(",")[2] != ""
     assert linf[2] == "7,,"
+
+
+def test_synth_study_leaves_linf_empty_when_no_width_has_l_pp(tmp_path, capsys):
+    # widths 76 and 77 pass the default 75 movies, so no two people are
+    # joined, no trial measures l_pp and the discrepancy is undefined
+    assert main(["synth-study", "--kappa-min", "1", "--kappa-max", "2", "--w-min", "76",
+                 "--w-max", "77", "--n-people", "20", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    linf = (tmp_path / "synth_linf.csv").read_text(encoding="utf-8").splitlines()
+    assert linf[1:] == ["1,1.44121,", "2,1.32552,"]
+    study = (tmp_path / "synth_study.csv").read_text(encoding="utf-8").splitlines()
+    assert len(study) == 5 and all(row.endswith(",0") for row in study[1:])
 
 
 @pytest.mark.parametrize("size", [["--n-people", "0"], ["--n-people", "1"],

@@ -375,7 +375,8 @@ def test_slab_pull_matches_floyd_warshall_on_mixed_row_lengths(slab_word_levels,
     # every other ring edge dropped at 100..119, has rows of 9, 10 and 11:
     # one size class (12), padded to 11.  The 130 sources run as one 3-word
     # block, which switches to the slab pull at level 6, or at level 1 with
-    # no slab word-levels.
+    # no slab word-levels.  Then a recommender graph whose people and movie
+    # rows share a size class runs the same way.
     if slab_word_levels is not None:
         monkeypatch.setattr(metrics, "BFS_SLAB_WORD_LEVELS", slab_word_levels)
     n = 130
@@ -390,6 +391,25 @@ def test_slab_pull_matches_floyd_warshall_on_mixed_row_lengths(slab_word_levels,
     expected, count = mean_over_pairs(dist, range(n), range(n))
     stats = measure_l_pp(gs)
     assert (stats.l_pp, stats.pairs_pp) == (expected, count)
+
+    # movie m is rated by people m..m+5 around the ring, all but person m for
+    # m = 100, 103, ..., 118, so at width 3 people have degree 4, 5 or 6 and
+    # movies 5 or 6 raters: size class 6 holds person and movie rows.  Person
+    # 130 rates movie 130 alone, and movie 131 is unrated.
+    pairs = [(p % n, m) for m in range(n) for p in range(m, m + 6)
+             if not (m in range(100, 120, 3) and p == m)]
+    g = BipartiteRatings(pairs + [(n, n)], people=range(n + 1), movies=range(n + 2))
+    gr = RecommenderGraph(g, apply_jump(g, 3))
+    assert sorted(set(gr.social.degrees().tolist())) == [0, 4, 5, 6]
+    assert sorted(set(np.diff(g.rater_csr().indptr).tolist())) == [0, 1, 5, 6]
+    pix, directed = recommender_distances(gr)
+    sources = [pix[p] for p in connected_components(gr).giant_people]
+    assert len(sources) == n
+    exp_pp, n_pp = mean_over_pairs(directed, sources, range(n + 1))
+    exp_pm, n_pm = mean_over_pairs(directed, sources, range(n + 1, 2 * n + 3))
+    stats = measure_l_r_l_pm(gr)
+    assert (stats.l_pp, stats.pairs_pp, stats.l_pm, stats.pairs_pm) == (exp_pp, n_pp,
+                                                                        exp_pm, n_pm)
 
 
 def test_mixture_identity_exact():
