@@ -168,17 +168,9 @@ class RecommenderGraph:
     def n_movies(self) -> int:
         return self.ratings.n_movies
 
-    @property
-    def person_arc_count(self) -> int:
-        return 2 * self.social.edge_count
-
-    @property
-    def movie_arc_count(self) -> int:
-        return self.ratings.edge_count
-
     def __repr__(self):
         return (f"RecommenderGraph(n_people={self.n_people}, n_movies={self.n_movies}, "
-                f"person_arcs={self.person_arc_count}, movie_arcs={self.movie_arc_count})")
+                f"person_arcs={2 * self.social.edge_count}, movie_arcs={self.ratings.edge_count})")
 
     def out_csr(self):
         """G_r's arcs as out-arc rows over one index space (cached); see ``edges.Csr``.

@@ -15,7 +15,7 @@ memory however many sources run.  Each level runs one pull over people and
 movie rows alike: one reduceat over the gathered arcs, until a block of more
 than one word passes BFS_SLAB_WORD_LEVELS levels times words (a long search,
 such as a ring lattice's, or a wide block) and switches to OR-reducing
-padded slabs of rows, which costs less per word but more to set up.
+slabs of rows of one length, which costs less per word but more to set up.
 Above 5,000 giant people the source set is uniformly sampled (seeded)
 instead, and the result says so.
 
@@ -45,24 +45,27 @@ DEFAULT_SAMPLED_SOURCES = 1000
 # at least one word.  Small blocks keep each level's gather near cache size:
 # on dense graphs one word per block ran fastest, while sparse lattices
 # (~50 levels) want all their sources in one block to pay each level once.
-# The slab pull gathers at most 1.5 times the arcs' words, one padded
-# length at a time.
+# The slab pull gathers the same words as reduceat, one row length at a
+# time.
 BFS_BLOCK_BYTES = 4 << 20
 # Word-levels (levels times the block's words) a block pulls with reduceat
-# before it switches to the slab pull, an OR down axis 0 of a (padded
-# length, rows, words) gather; only blocks of more than one word switch, at
-# the first level d with d * words > BFS_SLAB_WORD_LEVELS.  So a 2-word
-# block switches at level 9 and a 16-word block at level 2.  On a 2-core x86
-# host, at 16 words a level's slab pull took 0.24 against 0.45 ms on the
-# n = 1000, k = 10 ring lattice, and 5.5 against 31.5 ms on the width-18
-# social graph of the ML-100k stand-in; at one word it lost there, 0.80
-# against 0.34 ms.  Building the slabs costs about 8 word-levels of
-# reduceat pulls on both graphs (0.23 and 15 ms), so a block spends about
-# twice that before it switches.  Switching every block at level 1 made the
-# stand-in's widths 17 and 18 slower (from 67 to 100 ms); every block of
-# `sweep -w 1..30` on the stand-in and of the default `synth-study` ends
-# within four levels.  These timings were taken with an earlier kernel that
-# pulled the people and the movie frontiers apart, two pulls a level.
+# before it switches to the slab pull, an OR down axis 0 of a (length, rows,
+# words) gather per row length; only blocks of more than one word switch, at
+# the first level d with d * words > BFS_SLAB_WORD_LEVELS.  So a 2-word block
+# switches at level 9 and a 16-word block at level 2.  On a 2-core x86-64
+# host (Python 3.11.7, numpy 2.4.6), one level at 16 words took 0.24 ms by
+# slabs against 0.55 ms by reduceat on the n = 1000, k = 10 ring lattice (one
+# row length), 0.19-0.26 against 0.39-0.42 ms on that lattice rewired at
+# p = 0.1 and 1 (8 and 21 lengths), and 10.0 against 64.7 ms on the width-18
+# social graph of the ML-100k stand-in (505 lengths).  At one word the slabs
+# won only on the plain lattice (0.03 against 0.05 ms) and lost on the other
+# three (0.05-5.7 against 0.03-0.59 ms): each length costs a few numpy calls
+# a level.  Building the slabs costs 1-8 word-levels of 16-word reduceat
+# pulls (0.09-0.20 ms on the lattices, 5-9 ms on the stand-in graph), so a
+# block spends 2 to 16 times that before it switches.
+# No block of `sweep -w 1..30` on the stand-in switches (at most 2 words and
+# 4 levels); 30 of the 450 passes of the default `synth-study` and all 28
+# rewired lattices that `ws --trials 3` measures do.
 BFS_SLAB_WORD_LEVELS = 16
 # Byte budget for the adjacency bitsets of one column range in the
 # clustering count, and for the bitsets of one block of edges gathered from
@@ -340,15 +343,14 @@ def _bfs_distance_sums(social, src_idx, raters):
     for lo in range(0, len(src_idx), 64 * words):
         block = src_idx[lo:lo + 64 * words]
         col = np.arange(len(block))
-        # one row past the movies stays zero: the slab pull's padding
-        front = np.zeros((n + 1, -(-len(block) // 64)), dtype=np.uint64)
+        front = np.zeros((n, -(-len(block) // 64)), dtype=np.uint64)
         front[block, col // 64] = np.left_shift(np.uint64(1), (col % 64).astype(np.uint64))
         seen = front.copy()
         pulled = np.zeros_like(front)
         for d in itertools.count(1):
             if front.shape[1] > 1 and d * front.shape[1] > BFS_SLAB_WORD_LEVELS:
                 if slabs is None:
-                    slabs = _slabs(rows, n)
+                    slabs = _slabs(rows)
                 for members, slab in slabs:
                     pulled[members] = np.bitwise_or.reduce(np.take(front, slab, axis=0), axis=0)
             else:
@@ -356,7 +358,7 @@ def _bfs_distance_sums(social, src_idx, raters):
                     np.take(front, rows.indices, axis=0), starts)
             pulled &= ~seen
             pp = int(np.bitwise_count(pulled[:n_people]).sum(dtype=np.int64))
-            pm = int(np.bitwise_count(pulled[n_people:n]).sum(dtype=np.int64))
+            pm = int(np.bitwise_count(pulled[n_people:]).sum(dtype=np.int64))
             if pp + pm == 0:
                 break
             sum_pp += d * pp
@@ -368,29 +370,17 @@ def _bfs_distance_sums(social, src_idx, raters):
     return sum_pp, pairs_pp, sum_pm, pairs_pm
 
 
-def _slabs(rows, pad):
-    """The non-empty rows grouped by size class: a list of (rows, slab).
+def _slabs(rows):
+    """The non-empty rows grouped by exact length: a list of (rows, slab).
 
-    A row's size class is the smallest 2**k or 3 * 2**k that holds it, and
-    each group is padded to its longest row, so padding costs less than
-    half as much again as the row (a ring lattice's rows of 10 gather 10
-    entries, not 12).  Column r of a group's (length, rows) slab lists row
-    r's entries, then ``pad``.
+    Column r of a group's (length, rows) slab lists row r's entries, so the
+    slabs hold each entry once and nothing else.
     """
     lengths = np.diff(rows.indptr)
-    listed = np.flatnonzero(lengths)
-    if not len(listed):
-        return []
-    top = int(lengths.max()).bit_length()
-    sizes = np.array(sorted({s for k in range(top + 1) for s in (1 << k, 3 << k)}))
-    size_class = sizes[np.searchsorted(sizes, lengths[listed])]
     groups = []
-    for size in np.unique(size_class).tolist():
-        members = listed[size_class == size]
-        offset = np.arange(lengths[members].max())[:, None]
-        at = np.minimum(rows.indptr[members] + offset, len(rows.indices) - 1)
-        slab = np.where(offset < lengths[members], rows.indices[at], pad)
-        groups.append((members, slab.astype(np.intp)))
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        members = np.flatnonzero(lengths == length)
+        groups.append((members, rows.indices[rows.indptr[members] + np.arange(length)[:, None]]))
     return groups
 
 

@@ -12,6 +12,7 @@ from recgraph import (
     RecgraphError,
     UndefinedMetricError,
     UnknownNodeError,
+    apply_jump,
     load_ratings,
 )
 from recgraph import dataset
@@ -631,6 +632,21 @@ def test_reach_monotone_and_saturating():
             prev = cur
         if is_connected_bipartite(g):
             assert prev == g.n_people + g.n_movies
+
+
+def test_reach_depth_two_is_movies_and_co_raters():
+    # the two-step reach AC10 reports: the person, the movies they rate and
+    # the people who share one with them, their width-1 social degree
+    people = 0
+    for seed in range(30):
+        g = random_ratings(seed)
+        gs = apply_jump(g, 1)
+        assert np.array_equal(gs.vertices, g.people)
+        for p, rated, co_raters in zip(g.people.tolist(), g.person_degrees().tolist(),
+                                       gs.degrees().tolist()):
+            assert bfs_reach_count(g, p, 2) == 1 + rated + co_raters
+            people += 1
+    assert people == 191
 
 
 def test_reach_unknown_start():

@@ -210,23 +210,6 @@ def test_four_person_fixture_edges():
 # -- recommender graph ---------------------------------------------------------------
 
 
-def test_arc_counts():
-    g = BipartiteRatings([(1, 10), (2, 10)])
-    gs = apply_jump(g, 1)
-    gr = RecommenderGraph(g, gs)
-    assert gr.person_arc_count == 2
-    assert gr.movie_arc_count == 2
-
-
-def test_arc_counts_random():
-    for seed in range(25):
-        g = random_ratings(seed)
-        gs = apply_jump(g, 2)
-        gr = RecommenderGraph(g, gs)
-        assert gr.person_arc_count == 2 * gs.edge_count
-        assert gr.movie_arc_count == g.edge_count
-
-
 def test_movies_are_sinks_and_person_arcs_paired():
     for seed in range(15):
         g = random_ratings(seed)
@@ -240,9 +223,11 @@ def test_movies_are_sinks_and_person_arcs_paired():
         heads = indices[:indptr[n_people]]
         to_person = heads < n_people
         person_arcs = set(zip(tails[to_person].tolist(), heads[to_person].tolist()))
-        assert len(person_arcs) == to_person.sum() == gr.person_arc_count
+        assert len(person_arcs) == to_person.sum() == 2 * gr.social.edge_count
         assert person_arcs == {(v, u) for u, v in person_arcs}
-        assert len(heads) - to_person.sum() == gr.movie_arc_count
+        assert len(heads) - to_person.sum() == g.edge_count
+        assert repr(gr) == (f"RecommenderGraph(n_people={n_people}, n_movies={gr.n_movies}, "
+                            f"person_arcs={len(person_arcs)}, movie_arcs={g.edge_count})")
 
 
 def test_mismatched_social_graph_rejected():

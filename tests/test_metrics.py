@@ -12,9 +12,11 @@ from recgraph import (
     joint_degree_distribution,
     measure_l_pp,
     measure_l_r_l_pm,
+    rewire,
 )
 from recgraph import metrics
 from recgraph.dataset import BipartiteRatings
+from recgraph.edges import Csr
 from recgraph.metrics import (
     DegreeDistribution,
     _pick_sources,
@@ -321,7 +323,7 @@ def test_path_means_match_floyd_warshall_past_one_word(giant, block_bytes, monke
     # Isolated people, a group outside the giant, movies only outsiders rate
     # and unrated movies are never reached; max_sources takes the sampled path.
     # With no slab word-levels every block of more than one word pulls
-    # through the padded slabs from its first level.
+    # through the slabs from its first level.
     if block_bytes is not None:
         monkeypatch.setattr(metrics, "BFS_BLOCK_BYTES", block_bytes)
     for seed, slab_levels in itertools.product(range(2), (metrics.BFS_SLAB_WORD_LEVELS, 0)):
@@ -373,10 +375,10 @@ def test_ring_lattice_l_pp_closed_form(n, k, block_bytes, monkeypatch):
 def test_slab_pull_matches_floyd_warshall_on_mixed_row_lengths(slab_word_levels, monkeypatch):
     # a 130-ring of degree 10, with chords across it at 0..19 and 65..84 and
     # every other ring edge dropped at 100..119, has rows of 9, 10 and 11:
-    # one size class (12), padded to 11.  The 130 sources run as one 3-word
-    # block, which switches to the slab pull at level 6, or at level 1 with
-    # no slab word-levels.  Then a recommender graph whose people and movie
-    # rows share a size class runs the same way.
+    # three slabs.  The 130 sources run as one 3-word block, which switches
+    # to the slab pull at level 6, or at level 1 with no slab word-levels.
+    # Then a recommender graph whose people and movie rows share lengths
+    # runs the same way.
     if slab_word_levels is not None:
         monkeypatch.setattr(metrics, "BFS_SLAB_WORD_LEVELS", slab_word_levels)
     n = 130
@@ -385,8 +387,9 @@ def test_slab_pull_matches_floyd_warshall_on_mixed_row_lengths(slab_word_levels,
     edges = [e for e in ring if e not in dropped] + [(i, i + 65) for i in range(20)]
     gs = social_graph(range(n), [(min(e), max(e)) for e in edges])
     assert sorted(set(gs.degrees().tolist())) == [9, 10, 11]
-    (rows, slab), = metrics._slabs(gs.adjacency_csr(), n)
-    assert slab.shape == (11, n) and np.array_equal(rows, np.arange(n))
+    degrees = gs.degrees()
+    assert [(len(slab), rows.tolist()) for rows, slab in metrics._slabs(gs.adjacency_csr())] == [
+        (d, np.flatnonzero(degrees == d).tolist()) for d in (9, 10, 11)]
     dist = floyd_warshall(n, [(u, v) for u, v in social_edges(gs)], directed=False)
     expected, count = mean_over_pairs(dist, range(n), range(n))
     stats = measure_l_pp(gs)
@@ -394,8 +397,8 @@ def test_slab_pull_matches_floyd_warshall_on_mixed_row_lengths(slab_word_levels,
 
     # movie m is rated by people m..m+5 around the ring, all but person m for
     # m = 100, 103, ..., 118, so at width 3 people have degree 4, 5 or 6 and
-    # movies 5 or 6 raters: size class 6 holds person and movie rows.  Person
-    # 130 rates movie 130 alone, and movie 131 is unrated.
+    # movies 5 or 6 raters: the slabs of 5 and 6 hold person and movie rows.
+    # Person 130 rates movie 130 alone, and movie 131 is unrated.
     pairs = [(p % n, m) for m in range(n) for p in range(m, m + 6)
              if not (m in range(100, 120, 3) and p == m)]
     g = BipartiteRatings(pairs + [(n, n)], people=range(n + 1), movies=range(n + 2))
@@ -410,6 +413,35 @@ def test_slab_pull_matches_floyd_warshall_on_mixed_row_lengths(slab_word_levels,
     stats = measure_l_r_l_pm(gr)
     assert (stats.l_pp, stats.pairs_pp, stats.l_pm, stats.pairs_pm) == (exp_pp, n_pp,
                                                                         exp_pm, n_pm)
+
+
+def test_slabs_hold_each_listed_entry_once():
+    # the 28 rewired lattices that `ws --n 1000 --k 10 --mode both --trials 3`
+    # measures (a trial that moves no edge reuses the lattice), then the pull
+    # table of a recommender graph: its people rows, then its movie rows,
+    # with empty rows among both
+    lattice = generate_wreath(1000, 10)
+    tables = []
+    for (i, p), mode, t in itertools.product(enumerate((0.0001, 0.001, 0.01, 0.1, 1.0), 1),
+                                             ("uniform", "preferential"), range(3)):
+        graph, _ = rewire(lattice, p, mode, seed=f"0:{t}:{i}")
+        if graph is not lattice:
+            tables.append(graph.adjacency_csr())
+    assert len(tables) == 28
+    g = ratings_with_giant(0, 130)
+    social, raters = apply_jump(g, 1).adjacency_csr(), g.rater_csr()
+    tables.append(Csr(np.concatenate([social.indptr, raters.indptr[1:] + social.indptr[-1]]),
+                      np.concatenate([social.indices, raters.indices])))
+    for rows in tables:
+        lengths = np.diff(rows.indptr)
+        slabs = metrics._slabs(rows)
+        assert [len(slab) for _, slab in slabs] == np.unique(lengths[lengths > 0]).tolist()
+        members = np.concatenate([m for m, _ in slabs])
+        assert np.array_equal(np.sort(members), np.flatnonzero(lengths))
+        assert sum(slab.size for _, slab in slabs) == len(rows.indices)
+        for m, slab in slabs:
+            for r, column in zip(m.tolist(), slab.T):
+                assert np.array_equal(column, rows.indices[rows.indptr[r]:rows.indptr[r + 1]])
 
 
 def test_mixture_identity_exact():
