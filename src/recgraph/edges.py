@@ -2,8 +2,9 @@
 
 Vertices are the indices 0..n-1, and a graph is given by two equal-length
 integer arrays of arc tails and heads (or of edge endpoints).  ``csr``
-builds a movie's raters and G_r's out-arcs; a social graph's rows come from
-its producers, each of which writes them sorted (see ``jumps.SocialGraph``).
+builds a movie's raters, G_r's out-arcs and a rewired graph's rows; the
+other social graphs' rows come from their producers, each of which writes
+them sorted (see ``jumps.SocialGraph``).
 """
 
 from __future__ import annotations

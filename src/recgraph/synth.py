@@ -1,10 +1,11 @@
 """Synthetic rating datasets and ring-lattice rewiring experiments.
 
 A ring lattice is written as its rows in closed form, and its mean path
-length is a closed form too.  Rewiring turns only the rows it reads or
-moves into neighbour sets and writes those back sorted, among the other
-rows copied as they stood; a rewiring that moves no edge hands back the
-lattice itself, which the small-world curve then does not measure again.
+length is a closed form too.  Rewiring turns only the rows it reads into
+neighbour sets, writes each moved edge's new end into a copy of the edge
+list and builds the new rows from that list; a rewiring that moves no edge
+hands back the lattice itself, which the small-world curve then does not
+measure again.
 
 The dataset generator hands person b (1-based, most active first) the first
 ceil(n_movies * b**-epsilon) movies, then re-points each initial rating, with
@@ -30,7 +31,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .dataset import BipartiteRatings
-from .edges import Csr
+from .edges import Csr, csr
 from .errors import UndefinedMetricError
 from .jumps import SocialGraph
 from .metrics import (
@@ -212,8 +213,9 @@ def rewire(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
 
     The walk runs on vertex indices.  Vertex ids are sorted, so index order
     is id order and every draw picks the vertex an id-keyed walk would.  A
-    row becomes a set the first time the walk reads or moves it; the new
-    rows copy every other row's arcs as they stand.
+    row becomes a set the first time the walk reads it.  Each moved edge's
+    new end replaces its old one in a copy of the edge list, and
+    ``edges.csr`` builds the new rows from both directions of that list.
     """
     if not 0 <= p <= 1:
         raise ValueError("rewire probability must lie in [0, 1]")
@@ -221,13 +223,14 @@ def rewire(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
         raise ValueError(f"mode must be one of {REWIRE_MODES}")
     rng = random.Random(f"rewire:{seed}")
     n = g.n
-    csr = g.adjacency_csr()
-    starts = csr.indptr.tolist()
-    arcs = memoryview(csr.indices)  # its slices read as ints, faster than tolist()
-    adj = [None] * n  # neighbour sets, for the rows the walk has touched
+    rows = g.adjacency_csr()
+    starts = rows.indptr.tolist()
+    arcs = memoryview(rows.indices)  # its slices read as ints, faster than tolist()
+    adj = [None] * n  # neighbour sets, for the rows the walk has read
 
-    def row(i):
-        adj[i] = set(arcs[starts[i]:starts[i + 1]])
+    def nbrs(i):
+        if adj[i] is None:
+            adj[i] = set(arcs[starts[i]:starts[i + 1]])
         return adj[i]
 
     if mode == UNIFORM:
@@ -238,48 +241,32 @@ def rewire(g: SocialGraph, p: float, mode: str = UNIFORM, seed=0):
     skipped = 0
     moved = False
     draw = rng.random
-    for u, v in zip(*(end.tolist() for end in g.edges())):
+    tails, heads = g.edges()
+    new_heads = heads.copy()
+    old_heads = heads.tolist()
+    for e, u in enumerate(tails.tolist()):
         if draw() >= p:
             continue
-        taken = adj[u]
-        if taken is None:
-            taken = row(u)
+        v = old_heads[e]
+        taken = nbrs(u)
         target = pick(rng, pool, u, taken)
         if target is None:
             skipped += 1
             continue
         moved = True
+        new_heads[e] = target
         taken.discard(v)
         taken.add(target)
-        other = adj[v]
-        (other if other is not None else row(v)).discard(u)
-        other = adj[target]
-        (other if other is not None else row(target)).add(u)
+        nbrs(v).discard(u)
+        nbrs(target).add(u)
         if degrees is not None:
             degrees.add(v, -1)
             degrees.add(target, 1)
     if not moved:
         return g, skipped
-    touched = [i for i, nbrs in enumerate(adj) if nbrs is not None]
-    rows = [adj[i] for i in touched]
-    lengths = np.diff(csr.indptr)
-    new_lengths = lengths.copy()
-    new_lengths[touched] = list(map(len, rows))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(new_lengths, out=indptr[1:])
-    kept = np.ones(n, dtype=bool)
-    kept[touched] = False
-    # untouched rows keep their order and lengths, so one mask on each side
-    # lines their arcs up; the touched rows sort as (row, neighbour) keys
-    copied = np.repeat(kept, new_lengths)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    indices[copied] = csr.indices[np.repeat(kept, lengths)]
-    keys = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
-                       count=len(indices) - int(copied.sum()))
-    keys += np.repeat(np.array(touched, dtype=np.int64) * n, new_lengths[touched])
-    keys.sort()
-    indices[~copied] = keys % n
-    return SocialGraph(g.vertices, Csr(indptr, indices)), skipped
+    arc_tails = np.concatenate([tails, new_heads])
+    arc_heads = np.concatenate([new_heads, tails])
+    return SocialGraph(g.vertices, csr(n, arc_tails, arc_heads)), skipped
 
 
 def _uniform_target(rng, n, u, taken):

@@ -1,8 +1,10 @@
-"""What ``import recgraph`` offers, and the README's library examples against it."""
+"""What ``import recgraph`` offers, and the README's library and CLI examples against it."""
 
 import re
+import shlex
 
 import recgraph
+from recgraph.cli import build_parser, resolve_config
 
 from conftest import REPO_ROOT
 from oracles import random_ratings, write_movielens_tab
@@ -57,3 +59,20 @@ def test_readme_library_examples_run(tmp_path, capsys):
     assert float(measured) == scope["measured"].l_r
     assert float(predicted) == scope["predicted"] > 0
     exec(second, {})
+
+
+def readme_commands() -> list:
+    """The ``recgraph ...`` lines of README.md's sh blocks, split into argv lists."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("recgraph ")]
+
+
+def test_readme_cli_examples_parse_and_resolve():
+    # the examples read a data file a checkout lacks, so each is resolved, not run
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["stats", "sweep", "synth-study", "ws", "cdf"]
+    for argv in commands:
+        cfg = resolve_config(build_parser().parse_args(argv))
+        assert cfg.command == argv[0]

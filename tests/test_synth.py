@@ -361,7 +361,7 @@ def test_rewire_matches_oracle_when_rejection_starves(mode, missing):
 @pytest.mark.parametrize("mode", [UNIFORM, PREFERENTIAL])
 @pytest.mark.parametrize("p", [1e-3, 1e-2])
 def test_rewire_matches_oracle_when_few_lattice_rows_move(p, mode):
-    # a few rewritten rows land among rows copied as they stood
+    # a few moved edges among thousands that keep their place in the edge list
     lattice = generate_wreath(1000, 10)
     for seed in range(3):
         _assert_rewire_matches_oracle(lattice, p, mode, seed)
