@@ -6,7 +6,8 @@ directed recommender graph G_r that keeps the movies reachable from that
 social structure.  A jump is its width w, the hammock of width w: it
 connects two people when they co-rated at least w movies.  Width 1 is the
 skip jump, which links every pair of co-raters.  Widths nest, so
-hammock_graphs cuts each width from the arcs the width before it kept.
+hammock_graphs counts the arcs of the first width asked for and cuts each
+later width from the arcs the width before it kept.
 
 In G_r every social edge contributes arcs in both directions and every
 rating contributes one person -> movie arc.  Movies have no outgoing arcs,
@@ -75,20 +76,23 @@ class SocialGraph:
 # -- jump application -------------------------------------------------------
 
 
-def co_rating_pairs(g: BipartiteRatings):
-    """The width-1 arc table: (count, rows) over indices into ``g.people``.
+def co_rating_pairs(g: BipartiteRatings, width: int = 1):
+    """The arc table of one width: (count, rows) over indices into ``g.people``.
 
     Row i of ``rows`` (an ``edges.Csr``) lists, ascending, the people who
-    share a movie with person i, and ``count`` (int32) holds each arc's
-    shared count; an arc i -> j and its twin j -> i share one.  The counts
-    come from a dense float32 product of the person x movie incidence with
-    itself, one block of people at a time, diagonal cleared, whose nonzeros
-    in row-major order are the arcs.  Every partial sum is a whole number
-    no larger than ``g.n_movies``, so float32 counts are exact below 2**24
-    movies (float64 is used above that).  The incidence takes n_people x
-    n_movies x 4 bytes; each block product stays within
-    CO_RATING_BLOCK_BYTES (or one row of people, when that is more).
+    share at least ``width`` movies with person i, and ``count`` (int32)
+    holds each arc's shared count; an arc i -> j and its twin j -> i share
+    one.  The counts come from a dense float32 product of the person x movie
+    incidence with itself, one block of people at a time, diagonal cleared,
+    whose entries of at least ``width`` in row-major order are the arcs.
+    Every partial sum is a whole number no larger than ``g.n_movies``, so
+    float32 counts are exact below 2**24 movies (float64 is used above
+    that).  The incidence takes n_people x n_movies x 4 bytes; each block
+    product stays within CO_RATING_BLOCK_BYTES (or one row of people, when
+    that is more), and its ``kept`` mask adds a quarter of that.
     """
+    if not isinstance(width, int) or width < 1:
+        raise ValueError("width must be a positive integer")
     n = g.n_people
     dtype = np.float32 if g.n_movies < 2**24 else np.float64
     inc = np.zeros((n, g.n_movies), dtype=dtype)
@@ -100,9 +104,10 @@ def co_rating_pairs(g: BipartiteRatings):
         block = inc[a:a + step] @ inc.T
         own = np.arange(a, a + len(block))
         block[own - a, own] = 0
-        flat = np.flatnonzero(block)
+        kept = block >= width
+        flat = np.flatnonzero(kept)
         counts.append(block.ravel()[flat].astype(np.int32))
-        indptr[own + 1] = np.count_nonzero(block, axis=1)
+        indptr[own + 1] = np.count_nonzero(kept, axis=1)
         heads.append(np.remainder(flat, n, out=flat))
         del block  # the last block and the incidence go before the concatenation
     del inc
@@ -116,11 +121,11 @@ def apply_jump(g: BipartiteRatings, width: int, table=None) -> SocialGraph:
     Two people are linked when they co-rated at least ``width`` movies, a
     positive int.  Every person stays a vertex even when isolated.
     ``table``, when given, is any ``(count, rows)`` table holding every arc
-    of that width; the width-1 table (:func:`co_rating_pairs`) by default.
+    of that width; the width's own table (:func:`co_rating_pairs`) by default.
     """
     if not isinstance(width, int) or width < 1:
         raise ValueError("width must be a positive integer")
-    count, rows = table if table is not None else co_rating_pairs(g)
+    count, rows = table if table is not None else co_rating_pairs(g, width)
     keep = count >= width
     # the kept arcs stay in row order, so a row ends where its kept arcs do
     kept = np.concatenate([[0], np.cumsum(keep)])
@@ -130,10 +135,11 @@ def apply_jump(g: BipartiteRatings, width: int, table=None) -> SocialGraph:
 def hammock_graphs(g: BipartiteRatings, w_min: int, w_max: int):
     """Yield ``(w, social graph)`` for widths w_min..w_max.
 
-    Widths nest, so each width after the first is cut from the last one's
-    kept arcs (their counts and its rows), the only table held.
+    Widths nest, so the table starts with w_min's arcs and each later width
+    is cut from the last one's kept arcs (their counts and its rows), the
+    only table held.
     """
-    count, rows = co_rating_pairs(g)
+    count, rows = co_rating_pairs(g, w_min)
     for w in range(w_min, w_max + 1):
         gs = apply_jump(g, w, (count, rows))
         count, rows = count[count >= w], gs._rows

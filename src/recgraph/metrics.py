@@ -10,7 +10,7 @@ and pulls it through G_r's in-arcs: the social graph's rows, then, for a
 recommender graph, each movie's raters.  Movies are sinks there, so a movie
 is one hop past its nearest rater and G_r's out-arc rows are never built.
 Sources go in blocks sized so the gathered frontier bits stay within
-BFS_BLOCK_BYTES (or one word per arc, when that is more), which bounds
+BITSET_BLOCK_BYTES (or one word per arc, when that is more), which bounds
 memory however many sources run.  Each level runs one pull over people and
 movie rows alike: one reduceat over the gathered arcs, until a block of more
 than one word passes BFS_SLAB_WORD_LEVELS levels times words (a long search,
@@ -23,7 +23,7 @@ Everything is numpy on the social graph's adjacency rows.  Components
 come from one hook-and-compress labelling of its u < v edges, read off the
 rows (``edges.component_labels``), which a social graph and its recommender
 graph share.  Clustering counts the neighbours each edge's ends share with
-adjacency bitsets, in blocks bounded by CLUSTERING_BLOCK_BYTES.
+adjacency bitsets, in blocks bounded by the same BITSET_BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -40,14 +40,16 @@ from .jumps import RecommenderGraph, SocialGraph
 
 EXACT_SOURCE_LIMIT = 5000
 DEFAULT_SAMPLED_SOURCES = 1000
-# Byte budget for one BFS block: its words times 8 times the arcs (the
-# gathered frontier bits) or the vertices, whichever is more; a block holds
-# at least one word.  Small blocks keep each level's gather near cache size:
-# on dense graphs one word per block ran fastest, while sparse lattices
-# (~50 levels) want all their sources in one block to pay each level once.
-# The slab pull gathers the same words as reduceat, one row length at a
-# time.
-BFS_BLOCK_BYTES = 4 << 20
+# Byte budget for one block of gathered uint64 bitsets, each holding at
+# least one word per row.  In the distance pass a block is its words times
+# 8 times the arcs (the gathered frontier bits) or the vertices, whichever
+# is more.  Small blocks keep each level's gather near cache size: on dense
+# graphs one word per block ran fastest, while sparse lattices (~50 levels)
+# want all their sources in one block to pay each level once.  The slab
+# pull gathers the same words as reduceat, one row length at a time.  In
+# the clustering count it bounds the adjacency bitsets of one column range,
+# and the bitsets of one block of edges gathered from them.
+BITSET_BLOCK_BYTES = 4 << 20
 # Word-levels (levels times the block's words) a block pulls with reduceat
 # before it switches to the slab pull, an OR down axis 0 of a (length, rows,
 # words) gather per row length; only blocks of more than one word switch, at
@@ -67,10 +69,6 @@ BFS_BLOCK_BYTES = 4 << 20
 # 4 levels); 30 of the 450 passes of the default `synth-study` and all 28
 # rewired lattices that `ws --trials 3` measures do.
 BFS_SLAB_WORD_LEVELS = 16
-# Byte budget for the adjacency bitsets of one column range in the
-# clustering count, and for the bitsets of one block of edges gathered from
-# them; each holds at least one word per row.
-CLUSTERING_BLOCK_BYTES = 4 << 20
 
 
 # -- types -------------------------------------------------------------------
@@ -337,7 +335,7 @@ def _bfs_distance_sums(social, src_idx, raters):
     # clears them (an isolated source's own bit, or nothing)
     listed = np.flatnonzero(np.diff(rows.indptr))
     starts = rows.indptr[listed]
-    words = max(1, BFS_BLOCK_BYTES // (8 * max(len(rows.indices), n)))
+    words = max(1, BITSET_BLOCK_BYTES // (8 * max(len(rows.indices), n)))
     slabs = None
     sum_pp = pairs_pp = sum_pm = pairs_pm = 0
     for lo in range(0, len(src_idx), 64 * words):
@@ -453,7 +451,7 @@ def _local_clustering(g: SocialGraph) -> np.ndarray:
 
     The neighbours two ends of an edge share are counted as set bits of the
     AND of their adjacency bitsets, 64 columns to a uint64 word, over column
-    ranges and edge blocks that stay within CLUSTERING_BLOCK_BYTES; the
+    ranges and edge blocks that stay within BITSET_BLOCK_BYTES; the
     shared neighbours summed over a vertex's edges are twice its triangles.
     A vertex's value depends only on its component, so a component's mean
     is the clustering coefficient of that component alone.  ``g`` has at
@@ -462,8 +460,8 @@ def _local_clustering(g: SocialGraph) -> np.ndarray:
     n = g.n
     eu, ev = g.edges()
     tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
-    words = min(-(-n // 64), max(1, CLUSTERING_BLOCK_BYTES // (8 * n)))
-    step = max(1, CLUSTERING_BLOCK_BYTES // (8 * words))
+    words = min(-(-n // 64), max(1, BITSET_BLOCK_BYTES // (8 * n)))
+    step = max(1, BITSET_BLOCK_BYTES // (8 * words))
     shared = np.zeros(g.edge_count, dtype=np.int64)
     for lo in range(0, n, 64 * words):
         col = heads - lo

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
@@ -287,11 +287,12 @@ def _uniform_target(rng, n, u, taken):
 
 
 class _Fenwick:
-    """Non-negative integer weights with O(log n) updates and prefix searches.
+    """Non-negative integer weights with O(log n) updates.
 
     A binary indexed tree (Fenwick 1994): ``_tree[i]`` (1-based) holds the
-    sum of the ``i & -i`` weights ending at index i - 1.  ``values`` keeps
-    the weights themselves and ``total`` their sum.
+    sum of the ``i & -i`` weights ending at index i - 1, so a prefix search
+    is one descent from ``_top``.  ``values`` keeps the weights themselves
+    and ``total`` their sum.
     """
 
     def __init__(self, values):
@@ -312,17 +313,6 @@ class _Fenwick:
             tree[i] += delta
             i += i & -i
 
-    def first_above(self, x):
-        """Smallest index whose prefix sum (inclusive) exceeds x, else len(values)."""
-        tree, end, pos, step = self._tree, len(self._tree), 0, self._top
-        while step:
-            nxt = pos + step
-            if nxt < end and tree[nxt] <= x:
-                pos = nxt
-                x -= tree[nxt]
-            step >>= 1
-        return pos
-
 
 def _preferential_target(rng, degrees, u, taken):
     """Degree-proportional choice among valid target indices (one uniform draw).
@@ -332,13 +322,10 @@ def _preferential_target(rng, degrees, u, taken):
     to the last index, where ``w`` is the degrees with u and its neighbours
     zeroed and ``cut = rng.random() * sum(w)``; None when ``sum(w)`` is 0.
     Each prefix of ``w`` is an integer (exact as a float below 2**53), so
-    it exceeds ``cut`` exactly when it exceeds ``t = floor(cut)``.  The
-    prefix of ``w`` at i is the degree prefix at i minus skip(i), the
-    excluded degree at or before i, so the pick is the first i whose degree
-    prefix exceeds ``t + skip(i)``.  A descent with a skip no larger than
-    the pick's lands at or before the pick, at an index whose own skip is
-    at least the one used; repeating with that skip until it stops changing
-    ends at an index that meets the condition, which is the pick.
+    it exceeds ``cut`` exactly when it exceeds ``t = floor(cut)``.  One
+    descent of the tree finds the first index whose prefix of ``w`` exceeds
+    ``t``: a node covering indices pos .. nxt - 1 weighs its tree sum less
+    the degrees of ``excluded[j:k]``, the excluded indices in that range.
     """
     excluded = sorted(chain((u,), taken))
     # skips[i]: the degree of the first i excluded vertices
@@ -347,13 +334,20 @@ def _preferential_target(rng, degrees, u, taken):
     if valid <= 0:
         return None
     t = int(rng.random() * valid)
-    skip = 0
-    while True:
-        index = degrees.first_above(t + skip)
-        reached = skips[bisect_right(excluded, index)]
-        if reached == skip:
-            return min(index, len(degrees.values) - 1)
-        skip = reached
+    tree, end, step = degrees._tree, len(degrees._tree), degrees._top
+    pos = j = 0
+    last = len(excluded)
+    while step:
+        nxt = pos + step
+        if nxt < end:
+            weight, k = tree[nxt], j
+            if j < last and excluded[j] < nxt:
+                k = bisect_left(excluded, nxt, j)
+                weight -= skips[k] - skips[j]
+            if weight <= t:
+                pos, t, j = nxt, t - weight, k
+        step >>= 1
+    return min(pos, len(degrees.values) - 1)
 
 
 # -- small-world curves --------------------------------------------------------------

@@ -56,6 +56,8 @@ def test_width_validation():
     for bad in (0, -1, 1.5, 1.0, "1", None):
         with pytest.raises(ValueError):
             apply_jump(g, bad)
+        with pytest.raises(ValueError):
+            co_rating_pairs(g, bad)
 
 
 # -- SocialGraph ------------------------------------------------------------------
@@ -146,7 +148,7 @@ def test_hammock_graphs_cut_each_width_from_the_last(monkeypatch):
         g = random_ratings(seed)
         received.clear()
         arcs = [len(gs.adjacency_csr().indices) for _, gs in hammock_graphs(g, 2, 7)]
-        assert received == [len(co_rating_pairs(g)[0]), *arcs[:-1]], seed
+        assert received == [len(co_rating_pairs(g, 2)[0]), *arcs[:-1]], seed
 
 
 def test_co_rating_blocks_match_one_block(monkeypatch):
@@ -174,11 +176,17 @@ def test_co_rating_blocks_match_one_block(monkeypatch):
             rebuilt = csr(n, np.concatenate([eu, ev]), np.concatenate([ev, eu]))
             for got, want in zip(gs.adjacency_csr(), rebuilt):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (seed, w)
-        for step in (1, 2, 3, 5):
-            monkeypatch.setattr(jumps, "CO_RATING_BLOCK_BYTES", 4 * n * step)
-            blocked = co_rating_pairs(g)
-            for got, want in zip((blocked[0], *blocked[1]), (count, indptr, indices)):
-                assert got.dtype == want.dtype and np.array_equal(got, want), (seed, step)
+        # a wider table is the width-1 table filtered to counts of at least w
+        for w in (1, 2, 3):
+            keep = count >= w
+            want = (count[keep], np.concatenate([[0], np.cumsum(keep)])[indptr], indices[keep])
+            for step in (None, 1, 2, 3, 5):
+                if step is not None:
+                    monkeypatch.setattr(jumps, "CO_RATING_BLOCK_BYTES", 4 * n * step)
+                blocked = co_rating_pairs(g, w)
+                for got, exp in zip((blocked[0], *blocked[1]), want):
+                    assert got.dtype == exp.dtype and np.array_equal(got, exp), (seed, w, step)
+            monkeypatch.undo()  # back to one block
 
 
 def test_two_step_reachability_is_composed_jumps():

@@ -325,7 +325,7 @@ def test_path_means_match_floyd_warshall_past_one_word(giant, block_bytes, monke
     # With no slab word-levels every block of more than one word pulls
     # through the slabs from its first level.
     if block_bytes is not None:
-        monkeypatch.setattr(metrics, "BFS_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(metrics, "BITSET_BLOCK_BYTES", block_bytes)
     for seed, slab_levels in itertools.product(range(2), (metrics.BFS_SLAB_WORD_LEVELS, 0)):
         monkeypatch.setattr(metrics, "BFS_SLAB_WORD_LEVELS", slab_levels)
         g = ratings_with_giant(seed, giant)
@@ -365,7 +365,7 @@ def test_ring_lattice_l_pp_closed_form(n, k, block_bytes, monkeypatch):
     # every source in one block of 2, 3 or 16 words, past the slab switch
     # (16, 22 and 100 levels), and a 1-byte budget one word per block
     if block_bytes is not None:
-        monkeypatch.setattr(metrics, "BFS_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(metrics, "BITSET_BLOCK_BYTES", block_bytes)
     hops = sum(-(-min(r, n - r) // (k // 2)) for r in range(1, n))
     stats = measure_l_pp(generate_wreath(n, k))
     assert (stats.l_pp, stats.pairs_pp) == (hops / (n - 1), n * (n - 1))
@@ -558,8 +558,8 @@ def test_clustering_matches_direct_count(monkeypatch):
                                          for v in ids[i + 1:] if rng.random() < 0.15]))
     # the default budget, then one word and one edge per block, then two
     # words (a 130-vertex graph's last column range holds 2 columns)
-    for block_bytes in (metrics.CLUSTERING_BLOCK_BYTES, 8, 2080):
-        monkeypatch.setattr(metrics, "CLUSTERING_BLOCK_BYTES", block_bytes)
+    for block_bytes in (metrics.BITSET_BLOCK_BYTES, 8, 2080):
+        monkeypatch.setattr(metrics, "BITSET_BLOCK_BYTES", block_bytes)
         for gs in graphs:
             adj = adjacency(gs)
             total = 0.0

@@ -1,4 +1,4 @@
-"""No module of the package imports a name it neither uses nor exports."""
+"""No module of the package, the tests or the scripts imports a name it leaves unused."""
 
 import ast
 
@@ -7,6 +7,7 @@ import pytest
 from conftest import REPO_ROOT
 
 MODULES = sorted((REPO_ROOT / "src" / "recgraph").glob("*.py"))
+SCRIPTS = sorted((REPO_ROOT / "tests").glob("*.py")) + sorted((REPO_ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -31,9 +32,10 @@ def unused_imports(source: str) -> list:
 
 def test_the_package_has_modules_to_check():
     assert len(MODULES) >= 9
+    assert len(SCRIPTS) >= 14
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda path: path.name)
 def test_every_import_is_used_or_exported(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
