@@ -101,15 +101,6 @@ class BipartiteRatings:
         return self._raters
 
 
-def _index_of(ids, value, side) -> int:
-    """Index of an id in the sorted id array ``ids``; UnknownNodeError if absent."""
-    v = int(value)
-    i = int(np.searchsorted(ids, v))
-    if i == len(ids) or ids[i] != v:
-        raise UnknownNodeError(f"unknown {side} id: {value}")
-    return i
-
-
 def _int64_array(values) -> np.ndarray:
     if not isinstance(values, np.ndarray):
         values = list(values)
@@ -356,35 +347,6 @@ def is_connected_bipartite(g: BipartiteRatings) -> bool:
     # labels number people, then movies; one component labels them all 0
     return not component_labels(g.n_people + g.n_movies, g.edge_person_idx,
                                 g.edge_movie_idx + g.n_people).any()
-
-
-def bfs_reach_count(g: BipartiteRatings, person, depth) -> int:
-    """Vertices within ``depth`` hops of a person, the person included.
-
-    The graph is bipartite, so hop parity alternates sides: depth 1 adds
-    the person's movies, depth 2 adds co-raters, and so on.
-    """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    pi, mi = g.edge_person_idx, g.edge_movie_idx
-    seen_p = np.zeros(g.n_people, dtype=bool)
-    seen_m = np.zeros(g.n_movies, dtype=bool)
-    seen_p[_index_of(g.people, person, "person")] = True
-    frontier = seen_p.copy()
-    for step in range(depth):
-        if not frontier.any():
-            break
-        if step % 2 == 0:  # people -> movies
-            reached = np.zeros(g.n_movies, dtype=bool)
-            reached[mi[frontier[pi]]] = True
-            frontier = reached & ~seen_m
-            seen_m |= frontier
-        else:  # movies -> people
-            reached = np.zeros(g.n_people, dtype=bool)
-            reached[pi[frontier[mi]]] = True
-            frontier = reached & ~seen_p
-            seen_p |= frontier
-    return int(seen_p.sum() + seen_m.sum())
 
 
 # -- hits and buffs -------------------------------------------------------

@@ -1,15 +1,18 @@
 """Exact structural measurements on social and recommender graphs.
 
 Components, degree distributions, average shortest-path lengths, clustering,
-and the small utilities (complementary degree CDFs, L-infinity discrepancy)
-the experiment drivers report.  Path lengths are exact breadth-first values:
-every graph here is unweighted, so one level-synchronous pass runs all
-giant-component sources at once, 64 to a machine word, and sums the hop
-counts as Python ints.  The pass keeps one frontier over people and movies
-and pulls it through G_r's in-arcs: the social graph's rows, then, for a
-recommender graph, each movie's raters.  Movies are sinks there, so a movie
-is one hop past its nearest rater and G_r's out-arc rows are never built.
-Sources go in blocks sized so the gathered frontier bits stay within
+the rating graph's reach from one person, and the small utilities
+(complementary degree CDFs, L-infinity discrepancy) the experiment drivers
+report.  Path lengths are exact breadth-first values: every graph here is
+unweighted, so one level-synchronous kernel runs all giant-component sources
+at once, 64 to a machine word, and counts the targets first reached at each
+level as Python ints; the means are read off those counts.  The kernel keeps
+one frontier over people and movies and pulls it through one in-arc table
+over both: the social graph's rows, then, for a recommender graph, each
+movie's raters.  Movies are sinks there, so a movie is one hop past its
+nearest rater and G_r's out-arc rows are never built.  The reach runs the
+same kernel over the rating graph's rows, each person's movies and then
+each movie's raters.  Sources go in blocks sized so the gathered frontier bits stay within
 BITSET_BLOCK_BYTES (or one word per arc, when that is more), which bounds
 memory however many sources run.  Each level runs one pull over people and
 movie rows alike: one reduceat over the gathered arcs, until a block of more
@@ -35,7 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .edges import Csr, component_labels
-from .errors import UndefinedMetricError
+from .dataset import BipartiteRatings
+from .errors import UndefinedMetricError, UnknownNodeError
 from .jumps import RecommenderGraph, SocialGraph
 
 EXACT_SOURCE_LIMIT = 5000
@@ -305,30 +309,26 @@ def _pick_sources(candidates, max_sources, seed):
     return sorted(rng.sample(ordered, count)), True
 
 
-_NO_RATERS = Csr(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
+def _bfs_levels(rows, n_people, src_idx):
+    """Targets first reached at each distance from the sources, summed over them.
 
-
-def _bfs_distance_sums(social, src_idx, raters):
-    """Exact hop-count sums from every source: (sum_pp, pairs_pp, sum_pm, pairs_pm).
-
-    Sources are people.  Row i of ``social`` lists person i's neighbours and
-    row j of ``raters`` the people who rated movie j: G_r's in-arcs, since
-    movies are sinks, one hop past their nearest rater.  One pull table lists
-    the people rows, then the movie rows, and one frontier covers both.
-    Sources run together, 64 to a uint64 word and 64 * k to a block: per
-    level every row ORs the frontier words of the people it lists, and the
-    bits it had not yet seen are the (source, target) pairs at that distance.
-    Sources are visited at distance 0, so self-pairs never count, nor do
-    unreachable pairs.  Once its levels times words pass
+    Row v of ``rows`` lists the vertices with an arc into v, over one index
+    space: people 0..n_people-1, then movies.  G_r's movie rows list their
+    raters; the rating graph's person rows list their movies.  Entry d - 1
+    of the returned list is the [people, movies] count, as Python ints, of
+    the (source, target) pairs at distance d, through the last level that
+    reaches anything.  Sources run together, 64 to a uint64 word and 64 * k
+    to a block: per level every row ORs the frontier words of the vertices
+    it lists, and the bits it had not yet seen are the pairs at that
+    distance.  Sources are visited at distance 0, so self-pairs never
+    count, nor do unreachable pairs.  Once its levels times words pass
     BFS_SLAB_WORD_LEVELS, a block of more than one word pulls through slabs
     (see :func:`_slabs`), built once per call; both pulls give the same
     frontier.
     """
-    n_people, n_movies = len(social.indptr) - 1, len(raters.indptr) - 1
-    n = n_people + n_movies
+    n = len(rows.indptr) - 1
     # take() gathers fastest with native indices
-    rows = Csr(np.concatenate([social.indptr, raters.indptr[1:] + social.indptr[-1]]),
-               np.concatenate([social.indices, raters.indices]).astype(np.intp, copy=False))
+    rows = Csr(rows.indptr, rows.indices.astype(np.intp, copy=False))
     # reduceat yields an element, not zero, for an empty segment, so rows
     # listing nobody are left out of the pull.  Such a row keeps the
     # frontier of two levels back, whose bits are all seen, so the mask
@@ -337,7 +337,7 @@ def _bfs_distance_sums(social, src_idx, raters):
     starts = rows.indptr[listed]
     words = max(1, BITSET_BLOCK_BYTES // (8 * max(len(rows.indices), n)))
     slabs = None
-    sum_pp = pairs_pp = sum_pm = pairs_pm = 0
+    levels = []
     for lo in range(0, len(src_idx), 64 * words):
         block = src_idx[lo:lo + 64 * words]
         col = np.arange(len(block))
@@ -359,13 +359,20 @@ def _bfs_distance_sums(social, src_idx, raters):
             pm = int(np.bitwise_count(pulled[n_people:]).sum(dtype=np.int64))
             if pp + pm == 0:
                 break
-            sum_pp += d * pp
-            pairs_pp += pp
-            sum_pm += d * pm
-            pairs_pm += pm
+            if len(levels) < d:
+                levels.append([0, 0])
+            levels[d - 1][0] += pp
+            levels[d - 1][1] += pm
             seen |= pulled
             front, pulled = pulled, front
-    return sum_pp, pairs_pp, sum_pm, pairs_pm
+    return levels
+
+
+def _over_raters(top, ratings):
+    """``top``'s rows, one per person, then row n_people + j listing movie j's raters."""
+    raters = ratings.rater_csr()
+    return Csr(np.concatenate([top.indptr, raters.indptr[1:] + top.indptr[-1]]),
+               np.concatenate([top.indices, raters.indices]))
 
 
 def _slabs(rows):
@@ -382,12 +389,14 @@ def _slabs(rows):
     return groups
 
 
-def _path_lengths(social, raters, giant_people, max_sources, seed) -> PathLengthStats:
-    """One distance pass from the giant's people (or a sample of them)."""
+def _path_lengths(social, rows, giant_people, max_sources, seed) -> PathLengthStats:
+    """One distance pass over ``rows`` from the giant's people (or a sample of them)."""
     sources, sampled = _pick_sources(giant_people, max_sources, seed)
-    src_idx = np.searchsorted(social.vertices, sources)
-    sum_pp, pairs_pp, sum_pm, pairs_pm = _bfs_distance_sums(
-        social.adjacency_csr(), src_idx, raters)
+    levels = _bfs_levels(rows, social.n, np.searchsorted(social.vertices, sources))
+    pairs_pp = sum(pp for pp, _ in levels)
+    pairs_pm = sum(pm for _, pm in levels)
+    sum_pp = sum(d * pp for d, (pp, _) in enumerate(levels, 1))
+    sum_pm = sum(d * pm for d, (_, pm) in enumerate(levels, 1))
     both = pairs_pp + pairs_pm
     return PathLengthStats(
         l_pp=sum_pp / pairs_pp if pairs_pp else None,
@@ -403,15 +412,18 @@ def _path_lengths(social, raters, giant_people, max_sources, seed) -> PathLength
 def measure_l_pp(gs: SocialGraph, max_sources=None, seed=0) -> PathLengthStats:
     """Mean shortest-path length between ordered person pairs in the giant.
 
-    One bit-parallel BFS pass (see :func:`_bfs_distance_sums`) runs from
-    every giant-component person, or a seeded sample (see
-    :func:`_pick_sources`); self-pairs are excluded.  A social graph has no
-    movies, so ``l_pm`` and ``l_r`` are None and ``pairs_pm`` is 0.
+    The bit-parallel BFS kernel (see :func:`_bfs_levels`) pulls through the
+    social rows alone, from every giant-component person or a seeded sample
+    (see :func:`_pick_sources`), and counts the people first reached at each
+    level; the mean is read off those counts, and self-pairs are excluded.
+    The same kernel, over other in-arc tables, runs ``measure_l_r_l_pm`` and
+    the rating graph's ``bfs_reach_count``.  A social graph has no movies,
+    so ``l_pm`` and ``l_r`` are None and ``pairs_pm`` is 0.
     """
     report = connected_components(gs)
     if len(report.giant_people) < 2:
         raise UndefinedMetricError("l_pp needs a giant component with at least 2 people")
-    stats = _path_lengths(gs, _NO_RATERS, report.giant_people, max_sources, seed)
+    stats = _path_lengths(gs, gs.adjacency_csr(), report.giant_people, max_sources, seed)
     return replace(stats, l_r=None)
 
 
@@ -428,8 +440,28 @@ def measure_l_r_l_pm(gr: RecommenderGraph, max_sources=None, seed=0) -> PathLeng
     report = connected_components(gr)
     if not report.giant_people:
         raise UndefinedMetricError("l_r needs at least one person source in the giant")
-    return _path_lengths(gr.social, gr.ratings.rater_csr(), report.giant_people,
-                         max_sources, seed)
+    return _path_lengths(gr.social, _over_raters(gr.social.adjacency_csr(), gr.ratings),
+                         report.giant_people, max_sources, seed)
+
+
+def bfs_reach_count(g: BipartiteRatings, person, depth) -> int:
+    """Vertices of the rating graph within ``depth`` hops of a person, the person included.
+
+    The graph is bipartite, so hop parity alternates sides: depth 1 adds
+    the person's movies, depth 2 adds co-raters, and so on.  One distance
+    pass runs from the person over the rating graph's rows: each person's
+    movies (the ratings are sorted by person), then each movie's raters.
+    """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    v = int(person)
+    i = int(np.searchsorted(g.people, v))
+    if i == g.n_people or g.people[i] != v:
+        raise UnknownNodeError(f"unknown person id: {person}")
+    indptr = np.zeros(g.n_people + 1, dtype=np.int64)
+    np.cumsum(g.person_degrees(), out=indptr[1:])
+    rows = _over_raters(Csr(indptr, g.edge_movie_idx + g.n_people), g)
+    return 1 + sum(pp + pm for pp, pm in _bfs_levels(rows, g.n_people, np.array([i]))[:depth])
 
 
 # -- clustering --------------------------------------------------------------------

@@ -279,6 +279,55 @@ def mean_over_pairs(dist: np.ndarray, rows, cols) -> tuple:
     return (total / count if count else None), count
 
 
+# -- boolean-frontier reach --------------------------------------------------------
+
+
+def bipartite_reach(g: BipartiteRatings, person, depth) -> int:
+    """Vertices of the rating graph within ``depth`` hops of a person, the person included.
+
+    One boolean frontier per step, alternating sides: people -> movies on
+    even steps, movies -> people on odd ones.
+    """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    pi, mi = g.edge_person_idx, g.edge_movie_idx
+    start = np.flatnonzero(g.people == int(person))
+    if len(start) == 0:
+        raise UnknownNodeError(f"unknown person id: {person}")
+    seen_p = np.zeros(g.n_people, dtype=bool)
+    seen_m = np.zeros(g.n_movies, dtype=bool)
+    seen_p[start] = True
+    frontier = seen_p.copy()
+    for step in range(depth):
+        if not frontier.any():
+            break
+        if step % 2 == 0:  # people -> movies
+            reached = np.zeros(g.n_movies, dtype=bool)
+            reached[mi[frontier[pi]]] = True
+            frontier = reached & ~seen_m
+            seen_m |= frontier
+        else:  # movies -> people
+            reached = np.zeros(g.n_people, dtype=bool)
+            reached[pi[frontier[mi]]] = True
+            frontier = reached & ~seen_p
+            seen_p |= frontier
+    return int(seen_p.sum() + seen_m.sum())
+
+
+def distance_histogram(dist: np.ndarray, rows, n_people: int) -> list:
+    """[people, movies] row->column entries at each distance 1, 2, ..., as far as any lies.
+
+    Columns below ``n_people`` are people and the rest movies; zero (self)
+    and infinite (unreachable) entries are left out.
+    """
+    hops = dist[list(rows)]
+    hops = np.where(np.isfinite(hops), hops, 0).astype(np.int64)
+    top = int(hops.max(initial=0))
+    people = np.bincount(hops[:, :n_people].ravel(), minlength=top + 1)
+    movies = np.bincount(hops[:, n_people:].ravel(), minlength=top + 1)
+    return [[int(p), int(m)] for p, m in zip(people[1:], movies[1:])]
+
+
 # -- joint degree counts -----------------------------------------------------------
 
 

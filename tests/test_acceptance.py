@@ -29,14 +29,18 @@ from recgraph.dataset import (
     GENERIC_CSV,
     MOVIELENS_TAB,
     BipartiteRatings,
-    bfs_reach_count,
     fit_power_law,
     is_connected_bipartite,
     reorder_hits_buffs,
     sparsity,
 )
 from recgraph.jumps import co_rating_pairs
-from recgraph.metrics import DegreeDistribution, clustering_coefficient, connected_components
+from recgraph.metrics import (
+    DegreeDistribution,
+    bfs_reach_count,
+    clustering_coefficient,
+    connected_components,
+)
 from recgraph.nsw import predict_l_pp
 from recgraph.synth import UNIFORM, WreathConfig, small_world_curve
 

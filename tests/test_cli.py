@@ -11,6 +11,7 @@ import recgraph.cli
 from recgraph import (
     RecommenderGraph,
     SynthConfig,
+    dataset,
     edges,
     generate_power_law_bipartite,
     jumps,
@@ -170,8 +171,7 @@ def test_sweep_leaves_l_pp_empty_when_the_social_giant_is_one_person():
 
 
 def test_sweep_analyses_each_width_once(monkeypatch):
-    calls = {"components": 0, "distances": 0, "rows": 0, "tables": 0}
-    raters = []
+    calls = {"components": 0, "distances": 0, "rows": 0, "tables": 0, "raters": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -179,20 +179,15 @@ def test_sweep_analyses_each_width_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    bfs = metrics._bfs_distance_sums
-
-    def distances(social, src_idx, rater_rows):
-        raters.append(rater_rows)
-        return bfs(social, src_idx, rater_rows)
-
     monkeypatch.setattr(metrics, "component_labels",
                         counted("components", metrics.component_labels))
-    monkeypatch.setattr(metrics, "_bfs_distance_sums", counted("distances", distances))
+    monkeypatch.setattr(metrics, "_bfs_levels", counted("distances", metrics._bfs_levels))
     # a width's social rows are cut from the sweep's one arc table, and G_r's
     # arcs are never listed, so no CSR is built per width
     rows = counted("rows", edges.csr)
     monkeypatch.setattr(edges, "csr", rows)
     monkeypatch.setattr(jumps, "csr", rows)
+    monkeypatch.setattr(dataset, "csr", counted("raters", dataset.csr))
     monkeypatch.setattr(jumps, "co_rating_pairs", counted("tables", jumps.co_rating_pairs))
 
     def no_out_csr(self):
@@ -210,11 +205,10 @@ def test_sweep_analyses_each_width_once(monkeypatch):
     # the arc table is counted once per sweep, and each movie's raters are
     # listed once per dataset, not once per width
     g, _ = generate_power_law_bipartite(SynthConfig(n_people=30, n_movies=12, epsilon=0.5, seed=5))
-    raters.clear()
-    calls.update(tables=0, rows=0)
+    calls.update(tables=0, rows=0, raters=0, distances=0)
     assert len(sweep_rows(g, 1, 3)) == 3
     assert calls["tables"] == 1 and calls["rows"] == 0
-    assert len(raters) == 3 and all(rows is raters[0] for rows in raters)
+    assert calls["distances"] == 3 and calls["raters"] == 1
 
 
 def write_weighted_path(path, shared):

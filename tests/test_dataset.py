@@ -20,14 +20,15 @@ from recgraph.dataset import (
     GENERIC_CSV,
     MOVIELENS_TAB,
     BipartiteRatings,
-    bfs_reach_count,
     fit_power_law,
     is_connected_bipartite,
     reorder_hits_buffs,
     sparsity,
 )
+from recgraph.metrics import bfs_reach_count
 
 from oracles import (
+    bipartite_reach,
     edge_ids,
     load_csv_oracle,
     load_movielens_tab_oracle,
@@ -649,10 +650,35 @@ def test_reach_depth_two_is_movies_and_co_raters():
     assert people == 191
 
 
+def test_reach_matches_boolean_frontier_oracle():
+    # every person of 30 random tables at depths 0-8, past saturation, then a
+    # table of two islands with an isolated person and an unrated movie
+    tables = [random_ratings(seed) for seed in range(30)]
+    tables.append(BipartiteRatings([(1, 10), (2, 10), (2, 11), (3, 11), (4, 12), (5, 12)],
+                                   people=[1, 2, 3, 4, 5, 6], movies=[10, 11, 12, 13]))
+    assert sum(not is_connected_bipartite(g) for g in tables) >= 2
+    for g in tables:
+        for p in g.people.tolist():
+            for depth in range(9):
+                assert bfs_reach_count(g, p, depth) == bipartite_reach(g, p, depth), (p, depth)
+    assert [bfs_reach_count(tables[-1], 1, d) for d in range(5)] == [1, 2, 3, 4, 5]
+    assert bfs_reach_count(tables[-1], 6, 3) == 1
+
+
 def test_reach_unknown_start():
     g = BipartiteRatings([(1, 10)])
     with pytest.raises(UnknownNodeError):
         bfs_reach_count(g, 999, 2)
+    with pytest.raises(UnknownNodeError):
+        bipartite_reach(g, 999, 2)
+
+
+def test_reach_negative_depth():
+    g = BipartiteRatings([(1, 10)])
+    with pytest.raises(ValueError):
+        bfs_reach_count(g, 1, -1)
+    with pytest.raises(ValueError):
+        bipartite_reach(g, 1, -1)
 
 
 # -- hits-buffs ordering ----------------------------------------------------------

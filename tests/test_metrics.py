@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 
@@ -10,13 +11,13 @@ from recgraph import (
     apply_jump,
     generate_wreath,
     joint_degree_distribution,
+    load_ratings,
     measure_l_pp,
     measure_l_r_l_pm,
     rewire,
 )
 from recgraph import metrics
 from recgraph.dataset import BipartiteRatings
-from recgraph.edges import Csr
 from recgraph.metrics import (
     DegreeDistribution,
     _pick_sources,
@@ -29,6 +30,7 @@ from recgraph.metrics import (
 
 from oracles import (
     adjacency,
+    distance_histogram,
     edge_ids,
     floyd_warshall,
     giant_people_oracle,
@@ -252,6 +254,21 @@ def test_joint_distribution_matches_loop_oracle_in_order():
 # -- path lengths vs Floyd-Warshall -----------------------------------------------
 
 
+@contextlib.contextmanager
+def recorded_passes():
+    """(rows, sources, levels) of every distance pass run in the block, in order."""
+    runs = []
+    kernel = metrics._bfs_levels
+
+    def recorded(rows, n_people, src_idx):
+        runs.append((rows, src_idx, kernel(rows, n_people, src_idx)))
+        return runs[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_bfs_levels", recorded)
+        yield runs
+
+
 def test_l_pp_matches_floyd_warshall_oracle():
     # 120 random graphs, giant restriction included
     for seed in range(120):
@@ -266,10 +283,13 @@ def test_l_pp_matches_floyd_warshall_oracle():
             with pytest.raises(UndefinedMetricError):
                 measure_l_pp(gs)
             continue
-        stats = measure_l_pp(gs)
+        with recorded_passes() as passes:
+            stats = measure_l_pp(gs)
         assert stats.pairs_pp == count, f"seed {seed}"
         assert abs(stats.l_pp - expected) < 1e-9, f"seed {seed}"
         assert not stats.sampled
+        ((_, _, levels),) = passes
+        assert levels == distance_histogram(dist, giant, len(ids)), f"seed {seed}"
 
 
 def recommender_distances(gr):
@@ -306,13 +326,16 @@ def test_l_r_l_pm_match_floyd_warshall_oracle():
         exp_pp, n_pp = mean_over_pairs(dist, sources, list(range(len(people))))
         exp_pm, n_pm = mean_over_pairs(
             dist, sources, list(range(len(people), len(people) + len(movies))))
-        stats = measure_l_r_l_pm(gr)
+        with recorded_passes() as passes:
+            stats = measure_l_r_l_pm(gr)
         assert stats.pairs_pp == n_pp, f"seed {seed}"
         assert stats.pairs_pm == n_pm, f"seed {seed}"
         if n_pp:
             assert abs(stats.l_pp - exp_pp) < 1e-9
         if n_pm:
             assert abs(stats.l_pm - exp_pm) < 1e-9
+        ((_, _, levels),) = passes
+        assert levels == distance_histogram(dist, sources, len(people)), f"seed {seed}"
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1])
@@ -342,9 +365,12 @@ def test_path_means_match_floyd_warshall_past_one_word(giant, block_bytes, monke
             sources, sampled = _pick_sources(connected_components(gs).giant_people,
                                              max_sources, seed)
             exp_pp, n_pp = mean_over_pairs(social, [index[v] for v in sources], range(n_p))
-            stats = measure_l_pp(gs, max_sources=max_sources, seed=seed)
+            with recorded_passes() as passes:
+                stats = measure_l_pp(gs, max_sources=max_sources, seed=seed)
             assert (stats.l_pp, stats.pairs_pp) == (exp_pp, n_pp)
             assert (stats.sources, stats.sampled) == (len(sources), sampled)
+            ((_, _, levels),) = passes
+            assert levels == distance_histogram(social, [index[v] for v in sources], n_p)
 
             sources, sampled = _pick_sources(connected_components(gr).giant_people,
                                              max_sources, seed)
@@ -352,10 +378,13 @@ def test_path_means_match_floyd_warshall_past_one_word(giant, block_bytes, monke
             exp_pp, n_pp = mean_over_pairs(directed, rows, range(n_p))
             exp_pm, n_pm = mean_over_pairs(directed, rows, range(n_p, n_all))
             exp_r, _ = mean_over_pairs(directed, rows, range(n_all))
-            stats = measure_l_r_l_pm(gr, max_sources=max_sources, seed=seed)
+            with recorded_passes() as passes:
+                stats = measure_l_r_l_pm(gr, max_sources=max_sources, seed=seed)
             assert (stats.pairs_pp, stats.pairs_pm) == (n_pp, n_pm)
             assert (stats.l_pp, stats.l_pm, stats.l_r) == (exp_pp, exp_pm, exp_r)
             assert (stats.sources, stats.sampled) == (len(sources), sampled)
+            ((_, _, levels),) = passes
+            assert levels == distance_histogram(directed, rows, n_p)
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1])
@@ -415,23 +444,63 @@ def test_slab_pull_matches_floyd_warshall_on_mixed_row_lengths(slab_word_levels,
                                                                         exp_pm, n_pm)
 
 
-def test_slabs_hold_each_listed_entry_once():
-    # the 28 rewired lattices that `ws --n 1000 --k 10 --mode both --trials 3`
-    # measures (a trial that moves no edge reuses the lattice), then the pull
-    # table of a recommender graph: its people rows, then its movie rows,
-    # with empty rows among both
+def ws_lattices():
+    """The 28 rewired lattices that `ws --n 1000 --k 10 --mode both --trials 3`
+    measures at seed 0 (a trial that moves no edge reuses the lattice)."""
     lattice = generate_wreath(1000, 10)
-    tables = []
+    graphs = []
     for (i, p), mode, t in itertools.product(enumerate((0.0001, 0.001, 0.01, 0.1, 1.0), 1),
                                              ("uniform", "preferential"), range(3)):
         graph, _ = rewire(lattice, p, mode, seed=f"0:{t}:{i}")
         if graph is not lattice:
-            tables.append(graph.adjacency_csr())
-    assert len(tables) == 28
+            graphs.append(graph)
+    assert len(graphs) == 28
+    return graphs
+
+
+def density_bound(rows, src_idx, levels):
+    """(largest person level, hop sum over person pairs less its density bound).
+
+    The pairs at distance 1 are the sources' degree sum, read off their rows,
+    and every other reachable person is at least 2 hops away, so the hop sum
+    is at least 2 * pairs - degree sum, with equality exactly when no person
+    is 3 or more hops from a source.
+    """
+    people = [pp for pp, _ in levels]
+    adjacent = int(np.diff(rows.indptr)[src_idx].sum())
+    assert people[0] == adjacent
+    excess = sum(d * pp for d, pp in enumerate(people, 1)) - (2 * sum(people) - adjacent)
+    largest = max(d for d, pp in enumerate(people, 1) if pp)
+    assert excess >= 0 and (excess == 0) == (largest <= 2)
+    return largest, excess
+
+
+def test_person_hop_sums_meet_the_density_bound(standin):
+    # both passes of stand-in widths on either side of the first 3-hop pair,
+    # then the rewired lattices, whose searches run ~50 levels.  Movies
+    # never carry the search, so G_r's person levels are the social ones
+    g = load_ratings(standin)
+    social = []
+    for w in (1, 15, 16, 17, 25, 30):
+        gs = apply_jump(g, w)
+        with recorded_passes() as passes:
+            measure_l_pp(gs)
+            measure_l_r_l_pm(RecommenderGraph(g, gs))
+        social.append(density_bound(*passes[0]))
+        assert density_bound(*passes[1]) == social[-1]
+    assert social == [(2, 0), (2, 0), (3, 2), (3, 36), (3, 1292), (3, 2092)]
+    for graph in ws_lattices():
+        with recorded_passes() as passes:
+            measure_l_pp(graph)
+        assert density_bound(*passes[0])[0] > 2
+
+
+def test_slabs_hold_each_listed_entry_once():
+    # the 28 rewired lattices of `ws`, then the pull table of a recommender
+    # graph: its people rows, then its movie rows, with empty rows among both
+    tables = [graph.adjacency_csr() for graph in ws_lattices()]
     g = ratings_with_giant(0, 130)
-    social, raters = apply_jump(g, 1).adjacency_csr(), g.rater_csr()
-    tables.append(Csr(np.concatenate([social.indptr, raters.indptr[1:] + social.indptr[-1]]),
-                      np.concatenate([social.indices, raters.indices])))
+    tables.append(metrics._over_raters(apply_jump(g, 1).adjacency_csr(), g))
     for rows in tables:
         lengths = np.diff(rows.indptr)
         slabs = metrics._slabs(rows)

@@ -1,4 +1,5 @@
-"""No module of the package, the tests or the scripts imports a name it leaves unused."""
+"""No module of the package, the tests or the scripts imports a name it leaves unused,
+and no private module-level name of the package goes unread by the package."""
 
 import ast
 
@@ -30,6 +31,28 @@ def unused_imports(source: str) -> list:
                   if name not in used and name not in exported)
 
 
+def unread_private_names(sources) -> list:
+    """Private (``_``-prefixed, not dunder) module-level functions, classes and
+    constants of ``sources`` that none of them reads, by name or as an attribute."""
+    defined = set()
+    read = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    defined.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(name for name in defined - read
+                  if name.startswith("_") and not name.startswith("__"))
+
+
 def test_the_package_has_modules_to_check():
     assert len(MODULES) >= 9
     assert len(SCRIPTS) >= 14
@@ -45,3 +68,16 @@ def test_an_import_left_after_its_last_use_is_caught():
     assert unused_imports(source) == [(1, "chain")]
     assert unused_imports("import numpy as np\n__all__ = ['np']\n") == []
     assert unused_imports("import os.path\n\nos.sep\n") == []
+
+
+def test_every_private_name_of_the_package_is_read_in_it():
+    assert unread_private_names(path.read_text(encoding="utf-8") for path in MODULES) == []
+
+
+def test_a_private_name_left_after_its_last_read_is_caught():
+    source = ("_A, _B = 1, 2\n_C: int = 3\n__version__ = '1'\n\n\n"
+              "def _helper():\n    return _A\n\n\nclass _Gone:\n    pass\n\n\n"
+              "def public():\n    _C = 4\n    return _helper()\n")
+    assert unread_private_names([source]) == ["_B", "_C", "_Gone"]
+    # a read in another module counts, by name or as a module attribute
+    assert unread_private_names([source, "from m import _B, _C\n_B\nm._Gone\nm._C\n"]) == []
