@@ -366,14 +366,16 @@ class HitsBuffsOrdering:
 
 
 def reorder_hits_buffs(g: BipartiteRatings) -> HitsBuffsOrdering:
-    """Rank people and movies by descending degree (ties by ascending id)."""
-    pdeg = g.person_degrees()
-    mdeg = g.movie_degrees()
-    buffs = sorted(range(g.n_people), key=lambda i: (-int(pdeg[i]), int(g.people[i])))
-    hits = sorted(range(g.n_movies), key=lambda i: (-int(mdeg[i]), int(g.movies[i])))
+    """Rank people and movies by descending degree (ties by ascending id).
+
+    The ids are sorted, so a stable sort of the negated degrees keeps ties
+    in id order.
+    """
+    buffs = np.argsort(-g.person_degrees(), kind="stable")
+    hits = np.argsort(-g.movie_degrees(), kind="stable")
     return HitsBuffsOrdering(
-        buff_rank=tuple(int(g.people[i]) for i in buffs),
-        hit_rank=tuple(int(g.movies[i]) for i in hits),
+        buff_rank=tuple(g.people[buffs].tolist()),
+        hit_rank=tuple(g.movies[hits].tolist()),
     )
 
 

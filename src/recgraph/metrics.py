@@ -95,41 +95,48 @@ class ComponentReport:
     isolated_people: int
 
 
+def _check_counts(counts: dict, degrees) -> None:
+    if not counts:
+        raise UndefinedMetricError("degree distribution needs at least one vertex")
+    if any(k < 0 for k in degrees):
+        raise ValueError("degrees must be non-negative")
+    if not all(isinstance(c, int) and c > 0 for c in counts.values()):
+        raise ValueError("vertex counts must be positive ints")
+
+
 @dataclass(frozen=True)
 class DegreeDistribution:
-    """Degree -> fraction of vertices, over ``n`` vertices."""
+    """Degree -> number of vertices with that degree, as positive ints.
 
-    probabilities: dict
-    n: int
+    ``n`` is the sum of the counts, so every listed degree has a vertex and
+    every moment is an exact integer sum over ``n``.
+    """
+
+    counts: dict
 
     def __post_init__(self):
-        if self.n < 1:
-            raise UndefinedMetricError("degree distribution needs at least one vertex")
-        if any(k < 0 for k in self.probabilities):
-            raise ValueError("degrees must be non-negative")
-        mass = sum(self.probabilities.values())
-        if abs(mass - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {mass}")
+        _check_counts(self.counts, self.counts)
 
-    def counts(self) -> dict:
-        return {k: round(p * self.n) for k, p in sorted(self.probabilities.items())}
+    @property
+    def n(self) -> int:
+        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)
 class JointDegreeDistribution:
-    """(indegree, outdegree) -> fraction of vertices, over ``n`` vertices."""
+    """(indegree, outdegree) -> number of vertices with that pair, as positive ints.
 
-    probabilities: dict
-    n: int
+    ``n`` is the sum of the counts, as for :class:`DegreeDistribution`.
+    """
+
+    counts: dict
 
     def __post_init__(self):
-        if self.n < 1:
-            raise UndefinedMetricError("joint degree distribution needs at least one vertex")
-        if any(j < 0 or k < 0 for j, k in self.probabilities):
-            raise ValueError("degrees must be non-negative")
-        mass = sum(self.probabilities.values())
-        if abs(mass - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {mass}")
+        _check_counts(self.counts, itertools.chain.from_iterable(self.counts))
+
+    @property
+    def n(self) -> int:
+        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -247,12 +254,8 @@ def degree_distribution(gs: SocialGraph, largest_only=False) -> DegreeDistributi
     if largest_only:
         report = connected_components(gs)
         degrees = degrees[np.isin(gs.vertices, report.giant_people)]
-    n = len(degrees)
-    if n == 0:
-        raise UndefinedMetricError("degree distribution of an empty graph")
     values, counts = np.unique(degrees, return_counts=True)
-    probs = {int(k): int(c) / n for k, c in zip(values, counts)}
-    return DegreeDistribution(probabilities=probs, n=n)
+    return DegreeDistribution(dict(zip(values.tolist(), counts.tolist())))
 
 
 def joint_degree_distribution(gr: RecommenderGraph, largest_only=False) -> JointDegreeDistribution:
@@ -271,23 +274,15 @@ def joint_degree_distribution(gr: RecommenderGraph, largest_only=False) -> Joint
     else:
         keep_p = np.ones(gr.n_people, dtype=bool)
         keep_m = np.ones(gr.n_movies, dtype=bool)
-    n = int(keep_p.sum() + keep_m.sum())
-    if n == 0:
-        raise UndefinedMetricError("joint degree distribution of an empty graph")
-
     pi, mi = ratings.edge_person_idx, ratings.edge_movie_idx
     kept = keep_p[pi] & keep_m[mi]
     social_deg = gr.social.degrees()[keep_p]
     out_deg = social_deg + np.bincount(pi[kept], minlength=gr.n_people)[keep_p]
     movie_in = np.bincount(mi[kept], minlength=gr.n_movies)[keep_m]
-    # keys keep first-seen order (people by id, then movies), because
-    # moments_directed sums in dict order and its last bits must not move
     jk = np.concatenate([np.column_stack([social_deg, out_deg]),
                          np.column_stack([movie_in, np.zeros_like(movie_in)])])
-    keys, first, counts = np.unique(jk, axis=0, return_index=True, return_counts=True)
-    seen = np.argsort(first)
-    probs = {(j, k): c / n for (j, k), c in zip(keys[seen].tolist(), counts[seen].tolist())}
-    return JointDegreeDistribution(probabilities=probs, n=n)
+    keys, counts = np.unique(jk, axis=0, return_counts=True)
+    return JointDegreeDistribution(dict(zip(map(tuple, keys.tolist()), counts.tolist())))
 
 
 # -- path lengths ----------------------------------------------------------------
@@ -519,21 +514,14 @@ def degree_cdf(dist: DegreeDistribution, log_scale=False):
     """Complementary cumulative counts: vertices with degree >= each value.
 
     Entries cover the degrees present in the distribution, ascending; the
-    first count always equals n.  With ``log_scale`` counts come back as
-    log10 (zero counts would be omitted, though listed degrees always have
-    at least one vertex at or above them).
+    first count always equals n, and every count is at least one, since a
+    listed degree has a vertex.  With ``log_scale`` counts come back as log10.
     """
-    counts = dist.counts()
-    degrees = sorted(counts)
     remaining = dist.n
     out = []
-    for k in degrees:
-        if log_scale:
-            if remaining > 0:
-                out.append((k, float(np.log10(remaining))))
-        else:
-            out.append((k, remaining))
-        remaining -= counts[k]
+    for k in sorted(dist.counts):
+        out.append((k, float(np.log10(remaining)) if log_scale else remaining))
+        remaining -= dist.counts[k]
     return out
 
 

@@ -4,7 +4,8 @@ Given only a degree distribution (undirected case) or a joint in/out-degree
 distribution (directed case), estimate the first and second neighborhood
 sizes z1 and z2 of a typical vertex, grow them geometrically, and solve for
 the path length at which the neighborhood would cover the N vertices
-the distribution counts:
+the distribution counts.  Distributions hold vertex counts, so z1 and z2
+are exact integer sums divided by N once, and arcs balance exactly:
 
     l = (log[(N - 1)(z2 - z1) + z1^2] - log[z1^2]) / log[z2 / z1]
 
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from .errors import DegenerateModelError, InvalidDistributionError
 from .metrics import DegreeDistribution, JointDegreeDistribution
 
-BALANCE_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class ModelMoments:
@@ -33,25 +32,27 @@ class ModelMoments:
 
 
 def moments_undirected(dist: DegreeDistribution) -> ModelMoments:
-    """z1 = sum k p_k, z2 = sum k (k - 1) p_k."""
-    z1 = sum(k * p for k, p in dist.probabilities.items())
-    z2 = sum(k * (k - 1) * p for k, p in dist.probabilities.items())
-    return ModelMoments(z1=z1, z2=z2)
+    """z1 = sum k n_k / N, z2 = sum k (k - 1) n_k / N over the vertex counts n_k."""
+    z1 = sum(k * c for k, c in dist.counts.items())
+    z2 = sum(k * (k - 1) * c for k, c in dist.counts.items())
+    n = dist.n
+    return ModelMoments(z1=z1 / n, z2=z2 / n)
 
 
 def moments_directed(joint: JointDegreeDistribution) -> ModelMoments:
-    """z1 = sum k p_jk, z2 = sum j k p_jk, after checking arc balance.
+    """z1 = sum k n_jk / N, z2 = sum j k n_jk / N, after checking arc balance.
 
     Every arc leaves one vertex and enters another, so the in- and
-    out-degree means must match; an imbalance over 1e-9 is rejected.
+    out-degree sums must be equal; any difference is rejected.
     """
-    imbalance = sum((j - k) * p for (j, k), p in joint.probabilities.items())
-    if abs(imbalance) > BALANCE_TOLERANCE:
+    imbalance = sum((j - k) * c for (j, k), c in joint.counts.items())
+    if imbalance != 0:
         raise InvalidDistributionError(
-            f"in/out degree means differ by {imbalance}; arcs must balance")
-    z1 = sum(k * p for (_, k), p in joint.probabilities.items())
-    z2 = sum(j * k * p for (j, k), p in joint.probabilities.items())
-    return ModelMoments(z1=z1, z2=z2)
+            f"in-degrees sum to {imbalance} more than out-degrees; arcs must balance")
+    z1 = sum(k * c for (_, k), c in joint.counts.items())
+    z2 = sum(j * k * c for (j, k), c in joint.counts.items())
+    n = joint.n
+    return ModelMoments(z1=z1 / n, z2=z2 / n)
 
 
 def _predict_length(n: int, moments: ModelMoments) -> float:

@@ -332,11 +332,10 @@ def distance_histogram(dist: np.ndarray, rows, n_people: int) -> list:
 
 
 def joint_degree_loop(gr, people, movies) -> dict:
-    """(indegree, outdegree) -> fraction over the listed people and movies.
+    """(indegree, outdegree) -> number of the listed people and movies with it.
 
     People count their full social degree; rating arcs count only when both
-    ends are listed.  Keys appear in the order they are first met, people
-    first, as listed.
+    ends are listed.
     """
     ratings = gr.ratings
     social_deg = {int(v): 0 for v in gr.social.vertices}
@@ -356,8 +355,7 @@ def joint_degree_loop(gr, people, movies) -> dict:
         counts[jk] = counts.get(jk, 0) + 1
     for m, into in movie_in.items():
         counts[(into, 0)] = counts.get((into, 0), 0) + 1
-    n = len(person_out) + len(movie_in)
-    return {jk: c / n for jk, c in counts.items()}
+    return counts
 
 
 # -- union-find ---------------------------------------------------------------------

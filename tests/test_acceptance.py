@@ -226,10 +226,10 @@ def test_ac07_randomized_oracle_suites():
 
 def test_ac08_reference_graph_values():
     exact = all(
-        predict_l_pp(DegreeDistribution({n - 1: 1.0}, n)) == 1.0
+        predict_l_pp(DegreeDistribution({n - 1: n})) == 1.0
         for n in range(4, 51))
     try:
-        predict_l_pp(DegreeDistribution({2: 1.0}, 24))
+        predict_l_pp(DegreeDistribution({2: 24}))
         cycle_degenerate = False
     except DegenerateModelError:
         cycle_degenerate = True

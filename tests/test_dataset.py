@@ -708,6 +708,11 @@ def test_ordering_is_bijection_and_idempotent():
         seq = [degs[p] for p in order.buff_rank]
         assert seq == sorted(seq, reverse=True)
         assert reorder_hits_buffs(g) == order
+        # the (-degree, id) sort key, one item at a time
+        for ids, degrees, rank in ((g.people, g.person_degrees(), order.buff_rank),
+                                   (g.movies, g.movie_degrees(), order.hit_rank)):
+            keyed = sorted(zip(degrees.tolist(), ids.tolist()), key=lambda di: (-di[0], di[1]))
+            assert rank == tuple(i for _, i in keyed)
 
 
 # -- power-law fitting ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Golden outputs: the SHA-256 of every CSV seven small CLI runs write.
+"""Golden outputs: the SHA-256 of every CSV eight small CLI runs write.
 
 The rating file is the benchmark's seeded ML-100k-shaped stand-in
 (``perfbench/standins.py``, seed 0), written by the ``standin`` fixture in
@@ -7,7 +7,8 @@ these digests pin the bytes themselves, so a rewrite that moves any output
 byte fails here.  ``sweep-csv`` reads the same ratings as a
 ``person,movie,rating`` CSV and must write the tab ``sweep`` run's bytes.
 ``sweep-chain`` walks widths 1..30, so every width there is cut from the
-one before it.  ``ws-lattice`` is the benchmark's n = 1000, k = 10 run: its
+one before it.  ``cdf`` writes log10 counts over the giant; ``cdf-counts``
+writes the plain vertex counts over every person.  ``ws-lattice`` is the benchmark's n = 1000, k = 10 run: its
 16-word BFS blocks switch to the slab pull, and two of its trials move no
 edge.
 """
@@ -31,6 +32,10 @@ GOLDEN = {
         "173e705d1e28c162af9ec2551832caa2c6af4d627b1329952494a9abd20ed103",
     ("cdf", "cdf_w03.csv"):
         "7d10dabe81ef989abee65355d9da342889c1ddb28468f927df6a87f0ccc6110a",
+    ("cdf-counts", "cdf_w17.csv"):
+        "5ee9661ca17c46ca32c2bce25e3e8d49a3c5169186bb3a2d852a9625bfc25e43",
+    ("cdf-counts", "cdf_w18.csv"):
+        "cec25c090329e704397fc5df8bbd76e42e1aabbbdc6a9967e0313074fa2c2b18",
     ("synth-study", "synth_linf.csv"):
         "6d3368e7bf6f2dd182febb53f869be90a698d1942b54264dd4d5d4d1e07fd6ad",
     ("synth-study", "synth_study.csv"):
@@ -51,6 +56,7 @@ def _runs(path, csv_path):
                         "--max-sources", "50"],
         "cdf": ["cdf", "--input", str(path), "--w-min", "1", "--w-max", "3",
                 "--log", "--largest-only"],
+        "cdf-counts": ["cdf", "--input", str(path), "--w-min", "17", "--w-max", "18"],
         "synth-study": ["synth-study", "--kappa-min", "1", "--kappa-max", "3",
                         "--w-min", "1", "--w-max", "6"],
         "ws": ["ws", "--n", "200", "--k", "6", "--mode", "both", "--trials", "2"],
@@ -58,8 +64,8 @@ def _runs(path, csv_path):
     }
 
 
-@pytest.mark.parametrize("command", ["sweep", "sweep-csv", "sweep-chain", "cdf", "synth-study",
-                                     "ws", "ws-lattice"])
+@pytest.mark.parametrize("command", ["sweep", "sweep-csv", "sweep-chain", "cdf", "cdf-counts",
+                                     "synth-study", "ws", "ws-lattice"])
 def test_csv_digests_match_golden(command, standin, standin_csv, tmp_path, capsys):
     out = tmp_path / command
     assert main(_runs(standin, standin_csv)[command] + ["--out", str(out)]) == 0

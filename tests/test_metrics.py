@@ -20,6 +20,7 @@ from recgraph import metrics
 from recgraph.dataset import BipartiteRatings
 from recgraph.metrics import (
     DegreeDistribution,
+    JointDegreeDistribution,
     _pick_sources,
     clustering_coefficient,
     connected_components,
@@ -174,43 +175,55 @@ def test_component_type_check():
 def test_degree_distribution_star():
     gs = social_graph([0, 1, 2, 3, 4], [(0, i) for i in range(1, 5)])
     dist = degree_distribution(gs)
-    assert dist.probabilities == {1: 0.8, 4: 0.2}
-    assert dist.counts() == {1: 4, 4: 1}
+    assert dist.counts == {1: 4, 4: 1}
+    assert dist.n == 5
 
 
 def test_degree_distribution_handshake():
     for seed in range(40):
         gs = random_social(seed)
         dist = degree_distribution(gs)
-        z1n = sum(k * p for k, p in dist.probabilities.items()) * dist.n
-        assert round(z1n) == 2 * gs.edge_count
+        assert sum(k * c for k, c in dist.counts.items()) == 2 * gs.edge_count
 
 
 def test_degree_distribution_largest_only():
     gs = social_graph([1, 2, 3, 4, 5], [(1, 2), (2, 3)])
     dist = degree_distribution(gs, largest_only=True)
     assert dist.n == 3
-    assert dist.probabilities == {1: 2 / 3, 2: 1 / 3}
+    assert dist.counts == {1: 2, 2: 1}
 
 
 def test_degree_distribution_empty_graph():
     with pytest.raises(UndefinedMetricError):
         degree_distribution(social_graph([], []))
+    g = BipartiteRatings([])
+    gr = RecommenderGraph(g, apply_jump(g, 1))
+    for largest_only in (False, True):
+        with pytest.raises(UndefinedMetricError):
+            joint_degree_distribution(gr, largest_only=largest_only)
 
 
-def test_distribution_mass_validation():
-    with pytest.raises(ValueError):
-        DegreeDistribution({1: 0.4, 2: 0.4}, 10)
+def test_distribution_count_validation():
+    # a count is a number of vertices: a positive Python int
+    for counts in ({1: 1.5}, {1: 0}, {1: 2, 2: -1}, {1: np.int64(2)}, {-1: 3}):
+        with pytest.raises(ValueError):
+            DegreeDistribution(counts)
+    for counts in ({(1, 1): 1.5}, {(1, 1): 0}, {(-1, 2): 1}, {(2, -1): 1}):
+        with pytest.raises(ValueError):
+            JointDegreeDistribution(counts)
+    for cls in (DegreeDistribution, JointDegreeDistribution):
+        with pytest.raises(UndefinedMetricError):
+            cls({})
 
 
 def test_joint_distribution_chain():
     _, _, gr = chain_graph()
     joint = joint_degree_distribution(gr)
     assert joint.n == 5
-    assert joint.probabilities == {
-        (1, 2): 2 / 5,  # end people
-        (2, 4): 1 / 5,  # middle person
-        (2, 0): 2 / 5,  # both movies
+    assert joint.counts == {
+        (1, 2): 2,  # end people
+        (2, 4): 1,  # middle person
+        (2, 0): 2,  # both movies
     }
 
 
@@ -218,25 +231,25 @@ def test_joint_distribution_two_people_one_movie():
     g = BipartiteRatings([(1, 10), (2, 10)])
     gr = RecommenderGraph(g, apply_jump(g, 1))
     joint = joint_degree_distribution(gr)
-    assert joint.probabilities == {(1, 2): 2 / 3, (2, 0): 1 / 3}
+    assert joint.counts == {(1, 2): 2, (2, 0): 1}
+    assert joint.n == 3
 
 
 def test_joint_distribution_balance_and_sinks():
     for seed in range(40):
         g = random_ratings(seed)
         gr = RecommenderGraph(g, apply_jump(g, 2))
-        joint = joint_degree_distribution(gr)
-        pull = sum(j * p for (j, _), p in joint.probabilities.items())
-        push = sum(k * p for (_, k), p in joint.probabilities.items())
-        assert abs(pull - push) < 1e-12
-        joint_giant = joint_degree_distribution(gr, largest_only=True)
-        pull = sum(j * p for (j, _), p in joint_giant.probabilities.items())
-        push = sum(k * p for (_, k), p in joint_giant.probabilities.items())
-        assert abs(pull - push) < 1e-12
+        for largest_only in (False, True):
+            joint = joint_degree_distribution(gr, largest_only=largest_only)
+            pull = sum(j * c for (j, _), c in joint.counts.items())
+            push = sum(k * c for (_, k), c in joint.counts.items())
+            assert pull == push
+        # the whole graph's arcs: two per social edge, one per rating
+        push = sum(k * c for (_, k), c in joint_degree_distribution(gr).counts.items())
+        assert push == 2 * gr.social.edge_count + g.edge_count
 
 
-def test_joint_distribution_matches_loop_oracle_in_order():
-    # key order matters: moments_directed sums in dict order
+def test_joint_distribution_matches_loop_oracle():
     for seed in range(80):
         g = random_ratings(seed)
         for w in (1, 2, 3):
@@ -247,7 +260,7 @@ def test_joint_distribution_matches_loop_oracle_in_order():
                     (True, report.giant_people, report.giant_movies)):
                 got = joint_degree_distribution(gr, largest_only=largest_only)
                 expected = joint_degree_loop(gr, people, movies)
-                assert list(got.probabilities.items()) == list(expected.items()), \
+                assert got.counts == expected, \
                     f"seed {seed} w {w} largest_only {largest_only}"
 
 
@@ -647,12 +660,12 @@ def test_clustering_matches_direct_count(monkeypatch):
 
 
 def test_degree_cdf_basic():
-    dist = DegreeDistribution({1: 0.5, 2: 0.5}, 10)
+    dist = DegreeDistribution({2: 5, 1: 5})
     assert degree_cdf(dist) == [(1, 10), (2, 5)]
 
 
 def test_degree_cdf_single_vertex():
-    dist = DegreeDistribution({0: 1.0}, 1)
+    dist = DegreeDistribution({0: 1})
     assert degree_cdf(dist) == [(0, 1)]
 
 
@@ -666,7 +679,7 @@ def test_degree_cdf_first_entry_is_n():
 
 
 def test_degree_cdf_log_scale():
-    dist = DegreeDistribution({1: 0.5, 2: 0.5}, 100)
+    dist = DegreeDistribution({1: 50, 2: 50})
     entries = degree_cdf(dist, log_scale=True)
     assert entries[0] == (1, 2.0)
     assert abs(entries[1][1] - np.log10(50)) < 1e-12

@@ -12,7 +12,13 @@ from recgraph import (
     predict_l_r,
 )
 from recgraph.metrics import DegreeDistribution, JointDegreeDistribution, degree_distribution
-from recgraph.nsw import moments_directed, moments_undirected, predict_l_pm, predict_l_pp
+from recgraph.nsw import (
+    ModelMoments,
+    moments_directed,
+    moments_undirected,
+    predict_l_pm,
+    predict_l_pp,
+)
 
 from oracles import random_social
 from test_jumps import four_person_fixture
@@ -20,26 +26,25 @@ from test_jumps import four_person_fixture
 
 def four_person_joint():
     """Joint degree distribution over the 75 vertices of the dense fixture."""
-    probs = {
-        (1, 0): 23 / 75,
-        (2, 0): 16 / 75,
-        (3, 0): 13 / 75,
-        (4, 0): 19 / 75,
-        (2, 31): 1 / 75,
-        (2, 65): 1 / 75,
-        (3, 37): 1 / 75,
-        (3, 47): 1 / 75,
-    }
-    return JointDegreeDistribution(probs, 75)
+    return JointDegreeDistribution({
+        (1, 0): 23,
+        (2, 0): 16,
+        (3, 0): 13,
+        (4, 0): 19,
+        (2, 31): 1,
+        (2, 65): 1,
+        (3, 37): 1,
+        (3, 47): 1,
+    })
 
 
 # -- moments -----------------------------------------------------------------
 
 
 def test_moments_undirected():
-    m = moments_undirected(DegreeDistribution({4: 1.0}, 5))
+    m = moments_undirected(DegreeDistribution({4: 5}))
     assert m.z1 == 4 and m.z2 == 12
-    m = moments_undirected(DegreeDistribution({1: 0.5, 3: 0.5}, 10))
+    m = moments_undirected(DegreeDistribution({1: 5, 3: 5}))
     assert m.z1 == 2 and m.z2 == 3
 
 
@@ -49,56 +54,59 @@ def test_moments_undirected_handshake():
         if gs.edge_count == 0:
             continue
         dist = degree_distribution(gs)
-        m = moments_undirected(dist)
-        assert round(m.z1 * dist.n) == 2 * gs.edge_count
+        assert sum(k * c for k, c in dist.counts.items()) == 2 * gs.edge_count
+        assert moments_undirected(dist).z1 == 2 * gs.edge_count / dist.n
 
 
 def test_moments_directed_fixture():
+    # arcs 31 + 65 + 37 + 47 = 180; j k sums 62 + 130 + 111 + 141 = 444
     m = moments_directed(four_person_joint())
-    assert abs(m.z1 - 2.4) < 1e-12
-    assert abs(m.z2 - 5.92) < 1e-12
+    assert (m.z1, m.z2) == (180 / 75, 444 / 75)
 
 
 def test_moments_directed_trivial():
-    m = moments_directed(JointDegreeDistribution({(1, 1): 1.0}, 4))
+    m = moments_directed(JointDegreeDistribution({(1, 1): 4}))
     assert m.z1 == 1 and m.z2 == 1
 
 
 def test_moments_directed_rejects_imbalance():
     with pytest.raises(InvalidDistributionError):
-        moments_directed(JointDegreeDistribution({(2, 1): 1.0}, 4))
+        moments_directed(JointDegreeDistribution({(2, 1): 4}))
+    # one arc too many among 2e9 + 1 vertices: a mean gap of 5e-10
+    with pytest.raises(InvalidDistributionError):
+        moments_directed(JointDegreeDistribution({(1, 0): 1, (0, 0): 2 * 10**9}))
 
 
 # -- length predictions -----------------------------------------------------------
 
 
 def test_undirected_fixture_value():
-    dist = DegreeDistribution({1: 0.5, 3: 0.5}, 10)
+    dist = DegreeDistribution({1: 5, 3: 5})
     value = predict_l_pp(dist)
     assert abs(value - 2.906920898424682) < 1e-12
 
 
 def test_complete_graph_collapses_to_one():
     for n in range(4, 40):
-        dist = DegreeDistribution({n - 1: 1.0}, n)
+        dist = DegreeDistribution({n - 1: n})
         assert predict_l_pp(dist) == 1.0
 
 
 def test_complete_graph_three_vertices_is_degenerate():
     # n=3 gives z2 = z1 = 2: the formula is 0/0 there
-    dist = DegreeDistribution({2: 1.0}, 3)
+    dist = DegreeDistribution({2: 3})
     with pytest.raises(DegenerateModelError):
         predict_l_pp(dist)
 
 
 def test_cycle_distribution_is_degenerate():
-    dist = DegreeDistribution({2: 1.0}, 50)
+    dist = DegreeDistribution({2: 50})
     with pytest.raises(DegenerateModelError):
         predict_l_pp(dist)
 
 
 def test_no_edges_is_degenerate():
-    dist = DegreeDistribution({0: 1.0}, 5)
+    dist = DegreeDistribution({0: 5})
     with pytest.raises(DegenerateModelError):
         predict_l_pp(dist)
 
@@ -114,29 +122,29 @@ def test_directed_fixture_from_constructed_graph():
     g = four_person_fixture()
     gr = RecommenderGraph(g, apply_jump(g, 25))
     joint = joint_degree_distribution(gr)
-    assert joint.probabilities == four_person_joint().probabilities
+    assert joint == four_person_joint()
     value = predict_l_r(joint)
     assert abs(value - 4.245871941059724) < 1e-12
 
 
 def test_directed_degenerate():
-    joint = JointDegreeDistribution({(1, 1): 1.0}, 6)
+    joint = JointDegreeDistribution({(1, 1): 6})
     with pytest.raises(DegenerateModelError):
         predict_l_r(joint)
 
 
 def test_complete_digraph_collapses_to_one():
     for n in (4, 7, 12):
-        joint = JointDegreeDistribution({(n - 1, n - 1): 1.0}, n)
+        joint = JointDegreeDistribution({(n - 1, n - 1): n})
         assert predict_l_r(joint) == 1.0
 
 
 def test_input_validation():
     # one vertex has no pair to measure, whatever its moments say
     with pytest.raises(InvalidDistributionError):
-        predict_l_pp(DegreeDistribution({3: 1.0}, 1))
+        predict_l_pp(DegreeDistribution({3: 1}))
     with pytest.raises(InvalidDistributionError):
-        predict_l_r(JointDegreeDistribution({(2, 2): 1.0}, 1))
+        predict_l_r(JointDegreeDistribution({(2, 2): 1}))
 
 
 # -- person-movie mean ------------------------------------------------------------
@@ -174,13 +182,10 @@ def test_l_pm_requires_movies_and_people():
 
 def test_prediction_depends_only_on_moments():
     # same z1/z2 through different histograms gives the same length
-    a = DegreeDistribution({1: 0.5, 3: 0.5}, 10)             # z1=2, z2=3
-    b = DegreeDistribution({0: 0.125, 2: 0.75, 4: 0.125}, 10)  # same moments
-    ma, mb = moments_undirected(a), moments_undirected(b)
-    assert abs(ma.z1 - mb.z1) < 1e-12 and abs(ma.z2 - mb.z2) < 1e-12
-    va = predict_l_pp(a)
-    vb = predict_l_pp(b)
-    assert abs(va - vb) < 1e-12
+    a = DegreeDistribution({1: 4, 3: 4})        # z1=2, z2=3
+    b = DegreeDistribution({0: 1, 2: 6, 4: 1})  # same moments over the same 8 vertices
+    assert moments_undirected(a) == moments_undirected(b) == ModelMoments(z1=2, z2=3)
+    assert predict_l_pp(a) == predict_l_pp(b)
 
 
 def test_prediction_agrees_with_neighborhood_growth():

@@ -1,5 +1,6 @@
 """No module of the package, the tests or the scripts imports a name it leaves unused,
-and no private module-level name of the package goes unread by the package."""
+and no private module-level name or UPPER_CASE constant of the package goes unread
+by the package."""
 
 import ast
 
@@ -31,9 +32,9 @@ def unused_imports(source: str) -> list:
                   if name not in used and name not in exported)
 
 
-def unread_private_names(sources) -> list:
-    """Private (``_``-prefixed, not dunder) module-level functions, classes and
-    constants of ``sources`` that none of them reads, by name or as an attribute."""
+def unread_module_names(sources) -> list:
+    """Module-level functions, classes and assigned names of ``sources`` that none
+    of them reads, by name or as an attribute; dunder names are left out."""
     defined = set()
     read = set()
     for source in sources:
@@ -49,8 +50,17 @@ def unread_private_names(sources) -> list:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    return sorted(name for name in defined - read
-                  if name.startswith("_") and not name.startswith("__"))
+    return sorted(name for name in defined - read if not name.startswith("__"))
+
+
+def unread_private_names(sources) -> list:
+    """The ``_``-prefixed names among :func:`unread_module_names`."""
+    return [name for name in unread_module_names(sources) if name.startswith("_")]
+
+
+def unread_constants(sources) -> list:
+    """The UPPER_CASE names, public or private, among :func:`unread_module_names`."""
+    return [name for name in unread_module_names(sources) if name.isupper()]
 
 
 def test_the_package_has_modules_to_check():
@@ -81,3 +91,15 @@ def test_a_private_name_left_after_its_last_read_is_caught():
     assert unread_private_names([source]) == ["_B", "_C", "_Gone"]
     # a read in another module counts, by name or as a module attribute
     assert unread_private_names([source, "from m import _B, _C\n_B\nm._Gone\nm._C\n"]) == []
+
+
+def test_every_constant_of_the_package_is_read_in_it():
+    # reads in the tests do not count: a constant only tests read is dead
+    assert unread_constants(path.read_text(encoding="utf-8") for path in MODULES) == []
+
+
+def test_a_constant_left_after_its_last_read_is_caught():
+    source = ("LIMIT = 5\nTOLERANCE = 1e-9\n_SPAN: int = 2\nlower = 1\n__all__ = []\n\n\n"
+              "def check(x):\n    return x < LIMIT\n")
+    assert unread_constants([source]) == ["TOLERANCE", "_SPAN"]
+    assert unread_constants([source, "import m\nm.TOLERANCE\nfrom m import _SPAN\n_SPAN\n"]) == []
