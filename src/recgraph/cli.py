@@ -300,21 +300,21 @@ def sweep_rows(g, w_min, w_max, max_sources=None, seed=0):
 def cmd_stats(cfg: RunConfig) -> int:
     g = _load_dataset(cfg)
     order = reorder_hits_buffs(g)
-    pdeg = {int(p): int(d) for p, d in zip(g.people, g.person_degrees())}
-    mdeg = {int(m): int(d) for m, d in zip(g.movies, g.movie_degrees())}
+    # the ranks are by degree, so the degrees in rank order are a descending sort
+    buff_degrees = np.sort(g.person_degrees())[::-1].tolist()
+    hit_degrees = np.sort(g.movie_degrees())[::-1].tolist()
     print(f"people: {g.n_people}")
     print(f"movies: {g.n_movies}")
     print(f"edges: {g.edge_count}")
     print(f"duplicate rows: {g.duplicate_count}")
     print(f"sparsity: {100 * sparsity(g):.4f}%")
     print(f"connected: {'yes' if is_connected_bipartite(g) else 'no'}")
-    for rank, person in enumerate(order.buff_rank[:10], 1):
-        print(f"buff {rank}: person {person} ({pdeg[person]} ratings)")
-    for rank, movie in enumerate(order.hit_rank[:10], 1):
-        print(f"hit {rank}: movie {movie} ({mdeg[movie]} ratings)")
-    degrees = [pdeg[p] for p in order.buff_rank]
+    for rank, (person, degree) in enumerate(zip(order.buff_rank[:10], buff_degrees), 1):
+        print(f"buff {rank}: person {person} ({degree} ratings)")
+    for rank, (movie, degree) in enumerate(zip(order.hit_rank[:10], hit_degrees), 1):
+        print(f"hit {rank}: movie {movie} ({degree} ratings)")
     try:
-        fit = fit_power_law(degrees)
+        fit = fit_power_law(buff_degrees)
     except FitError as exc:
         print(f"buff power law: undefined ({exc})")
     else:

@@ -2,12 +2,13 @@
 
 Two on-disk formats are supported: the tab-separated layout used by the
 MovieLens distributions (person, movie, rating, timestamp; no header) and a
-generic CSV with a ``person,movie[,rating]`` header.  Either is read by a
-numpy scan over its bytes when every line keeps to a strict grammar of
-ASCII digits and separators; any other file is read row by row, which also
-names the first malformed line.  Parsed ratings become an immutable bipartite
-graph, built from one (m, 2) array of (person, movie) ids, and everything
-downstream (jumps, metrics, the synthetic generator) works from that graph.
+generic CSV with a ``person,movie[,rating]`` header.  Either is read by
+``np.loadtxt`` when a byte check finds only ASCII digits, dots, separators
+and line ends; any other file, or one that numpy refuses, is read row by
+row, which also names the first malformed line.  Parsed ratings become an
+immutable bipartite graph, built from one (m, 2) array of (person, movie)
+ids, and everything downstream (jumps, metrics, the synthetic generator)
+works from that graph.
 
 People and movies keep their external integer ids.  The two id spaces are
 independent: person 7 and movie 7 are different vertices.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import codecs
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,18 +154,11 @@ def _vertex_ids(endpoints, given, side) -> np.ndarray:
 
 # -- parsing -------------------------------------------------------------
 
-# Bytes read at a time by the byte scan; a block's index arrays stay in
-# cache (ML-100k is eight blocks), and memory stays bounded as files grow.
-LOAD_BLOCK_CHARS = 256 << 10
-
-
 # Largest person or movie id; ids are stored as int64.
 _ID_MAX = 2**63 - 1
 
-# Longest id or timestamp the byte scan reads: 18 digits always fit in int64.
-_SCAN_DIGITS = 18
-
-_TAB, _COMMA, _LF, _CR, _DOT, _ZERO = b"\t,\n\r.0"
+# Fields of a rating row, in file order; a CSV file has the first two or three.
+_FIELDS = [("person", np.int64), ("movie", np.int64), ("rating", np.float64), ("stamp", np.int64)]
 
 
 def _parse_int(field, path, lineno, what, limit=_ID_MAX):
@@ -179,93 +174,54 @@ def _parse_int(field, path, lineno, what, limit=_ID_MAX):
     return value
 
 
-def _scan_block(data, sep, width) -> np.ndarray | None:
-    """(m, 2) person/movie array of whole lines, the last ending in LF, or None.
-
-    Reads only the strict grammar: ``width`` fields split by the byte
-    ``sep`` and ended by LF or CRLF, with a rating (field 2, when there is
-    one) of digits with at most one inner ``.`` and every other field of
-    1-18 ASCII digits; empty lines are skipped.  Any other byte or shape
-    gives None.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    cr = np.flatnonzero(buf == _CR)
-    if len(cr):
-        if (buf[cr + 1] != _LF).any():  # the last byte is a newline, so cr + 1 is in range
-            return None
-        buf = np.delete(buf, cr)
-    lf = buf == _LF
-    blank = lf.copy()  # a newline that starts the block or follows another
-    blank[1:] &= lf[:-1]
-    if blank.any():
-        buf = buf[~blank]
-    other = np.flatnonzero((buf - _ZERO) >= 10)  # every byte but the ASCII digits
-    is_dot = buf[other] == _DOT
-    dots, seps = other[is_dot], other[~is_dot]
-    line_ends = np.array([sep] * (width - 1) + [_LF], dtype=np.uint8)
-    if len(seps) % width or (buf[seps].reshape(-1, width) != line_ends).any():
-        return None
-    fields = np.diff(seps, prepend=-1).reshape(-1, width) - 1  # field lengths, one row per line
-    if fields.size and (fields.min() < 1 or fields[:, np.arange(width) != 2].max() > _SCAN_DIGITS):
-        return None
-    if len(dots):
-        field = np.searchsorted(seps, dots)
-        # the last byte is a newline, so dots - 1 and dots + 1 are in range
-        if ((field % width != 2).any() or (np.diff(field) == 0).any()
-                or ((buf[dots - 1] - _ZERO) >= 10).any() or ((buf[dots + 1] - _ZERO) >= 10).any()):
-            return None
-    return _digit_values(buf, seps.reshape(-1, width)[:, :2], fields[:, :2])
-
-
-def _digit_values(buf, ends, lengths) -> np.ndarray:
-    """Values of the ASCII-digit fields that end before ``ends``, ``lengths`` long."""
-    values = np.zeros(ends.shape, dtype=np.int64)
-    for k in range(int(lengths.max(initial=0)), 0, -1):
-        digit = buf[ends - k].astype(np.int64) - _ZERO
-        values = values * 10 + digit * (lengths >= k)
-    return values
-
-
 def _scan_bytes(path, fmt) -> np.ndarray | None:
-    """(m, 2) person/movie array of a file in the strict grammar, or None.
+    """(m, 2) person/movie array of a file in the strict form, or None.
 
-    A tab file has four fields a line.  A CSV file's first line must be
-    exactly ``person,movie`` or ``person,movie,rating``, which sets its
-    field count; any other header gives None.  Reads blocks of at most
-    ``LOAD_BLOCK_CHARS`` bytes, cuts each at its last newline and carries
-    the rest into the next; a leading UTF-8 byte-order mark is skipped.
-    None as soon as a block leaves the grammar of ``_scan_block``.
+    The strict form holds ASCII digits, ``.``, CR, LF and the separator: a
+    tab, or a comma after a first line of exactly ``person,movie`` or
+    ``person,movie,rating`` and its LF or CRLF.  No run of digits is longer
+    than 640, so ``int`` reads each one however its digit limit is set.
+    ``np.loadtxt`` reads such a file, and gives None for a wrong field
+    count, an empty field, an id past int64 or any token that ``int`` or
+    ``float`` would not read to the same value.  A leading UTF-8
+    byte-order mark is skipped.
     """
-    blocks = [np.empty((0, 2), dtype=np.int64)]
     with open(path, "rb") as fh:
-        head = fh.read(len(codecs.BOM_UTF8))
-        rest = b"" if head == codecs.BOM_UTF8 else head
-        sep, width = _TAB, 4
-        if fmt == GENERIC_CSV:
-            # the shortest header is longer than the bytes read for a BOM
-            header = (rest + fh.readline()).removesuffix(b"\n").removesuffix(b"\r")
-            sep, rest = _COMMA, b""
-            width = {b"person,movie": 2, b"person,movie,rating": 3}.get(header)
-            if width is None:
-                return None
-        while chunk := fh.read(LOAD_BLOCK_CHARS):
-            data = rest + chunk
-            cut = data.rfind(b"\n") + 1
-            blocks.append(_scan_block(memoryview(data)[:cut], sep, width))
-            rest = data[cut:]
-            if blocks[-1] is None:
-                return None
-    blocks.append(_scan_block(rest + b"\n", sep, width))  # a last line without its newline
-    return None if blocks[-1] is None else np.concatenate(blocks)
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    sep, width = "\t", 4
+    if fmt == GENERIC_CSV:
+        header, _, data = data.partition(b"\n")
+        sep, width = ",", {b"person,movie": 2, b"person,movie,rating": 3}.get(header.removesuffix(b"\r"))
+        if width is None:
+            return None
+    # a digit reads "0", a dot, CR, LF or the separator ".", any other byte "x"
+    form = data.translate(bytes(ord("0") if c in "0123456789" else ord(".") if c in ".\r\n" + sep
+                                else ord("x") for c in map(chr, range(256))))
+    del data
+    # 640 digits: the least limit sys.set_int_max_str_digits takes
+    # (sys.int_info.str_digits_check_threshold, from Python 3.10.7 on)
+    if b"x" in form or b"0" * 641 in form:
+        return None
+    del form
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # given for a table of no rows
+        # numpy releases that still read "1.5" as the int 1 warn when they do
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            table = np.loadtxt(path, dtype=_FIELDS[:width], delimiter=sep, comments=None,
+                               encoding="utf-8-sig", skiprows=int(fmt == GENERIC_CSV), ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
+    return np.column_stack((table["person"], table["movie"]))
 
 
 def _scan_rows(path, fmt):
     """Yield the (person, movie) pair of each rating row, read by ``csv.reader``.
 
-    The lenient path, for files the byte scan rejects.  A tab file has four
-    unquoted fields a row and needs its rating; a CSV file takes the csv
-    module's quoting, a ``person,movie[,rating]`` header in any case and
-    spacing, and a blank rating.  Fields take what ``int`` and ``float``
+    The lenient path, for files ``_scan_bytes`` gives None for.  A tab file
+    has four unquoted fields a row and needs its rating; a CSV file takes
+    the csv module's quoting, a ``person,movie[,rating]`` header in any case
+    and spacing, and a blank rating.  Fields take what ``int`` and ``float``
     take (signs, underscores, padding, non-ASCII digits), and a lone CR
     ends a line.  Raises ParseError at the first bad line; an undecodable
     byte stays in its line (as a lone surrogate) and fails the field parse
@@ -309,11 +265,11 @@ def _scan_rows(path, fmt):
 def load_ratings(path, fmt=MOVIELENS_TAB) -> BipartiteRatings:
     """Parse a ratings file into a BipartiteRatings graph.
 
-    Both formats are read from their bytes, one block at a time, by a
-    numpy scan of a strict grammar: ASCII digits, tabs (or commas after an
-    exact lower-case ``person,movie[,rating]`` CSV header), LF or CRLF line
-    ends.  A file with anything else, such as padded, signed or quoted
-    fields, lone CR line ends or ids of 19 digits or more, is read again
+    A file in the strict form is read by ``np.loadtxt``: ASCII digits, dots,
+    tabs (or commas after an exact lower-case ``person,movie[,rating]`` CSV
+    header), LF, CRLF or lone CR line ends, and no run of more than 640
+    digits.  A file with anything else, such as padded, signed or quoted
+    fields, or one numpy refuses, such as an id past int64, is read again
     row by row from line 1.  Malformed rows, undecodable bytes and person
     or movie ids past int64 raise ParseError with the 1-based line number.
     Duplicate (person, movie) rows collapse to one edge and are counted on

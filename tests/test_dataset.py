@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -165,14 +166,14 @@ def test_generic_csv_skips_byte_order_mark(tmp_path):
     assert edge_ids(g) == [(1, 10), (2, 10)]
 
 
-# A block larger than any file the loader tests write, so each is read as one
-# block.  Its id is fixed, so a change to the loader's default block size
-# renames no test.
+# The loader once read files in blocks, and these tests ran each case at two
+# block sizes, named by these ids.  The loader now reads a file whole, so the
+# ``block_chars`` axis only keeps the ids: both of a case run the same check.
 ONE_BLOCK = pytest.param(8 << 20, id="8388608")
 
-# Tab files the loader must read exactly as the row-wise oracle does, by the
-# byte scan or the row scan: the same graph, or the same exception type, line
-# number and message.
+# Tab files the loader must read exactly as the row-wise oracle does, by
+# ``np.loadtxt`` or the row scan: the same graph, or the same exception type,
+# line number and message.
 TAB_CASES = {
     "plain": "1\t10\t5\t874965758\n2\t10\t3\t876893171\n1\t11\t4\t878542960\n",
     "no_final_newline": "1\t10\t5\t0\n2\t11\t4\t1",
@@ -219,8 +220,7 @@ def _assert_tab_parse_matches_oracle(path):
 
 @pytest.mark.parametrize("block_chars", [ONE_BLOCK, 16])
 @pytest.mark.parametrize("name", sorted(TAB_CASES))
-def test_tab_parse_matches_row_oracle(tmp_path, monkeypatch, name, block_chars):
-    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
+def test_tab_parse_matches_row_oracle(tmp_path, name, block_chars):
     text = TAB_CASES[name]
     path = tmp_path / "u.data"
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
@@ -253,8 +253,7 @@ def _seeded_tab_file(seed) -> str:
 
 
 @pytest.mark.parametrize("block_chars", [ONE_BLOCK, 200])
-def test_seeded_tab_files_match_row_oracle(tmp_path, monkeypatch, block_chars):
-    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
+def test_seeded_tab_files_match_row_oracle(tmp_path, block_chars):
     path = tmp_path / "u.data"
     for seed in range(60):
         path.write_bytes(_seeded_tab_file(seed).encode("utf-8"))
@@ -263,7 +262,7 @@ def test_seeded_tab_files_match_row_oracle(tmp_path, monkeypatch, block_chars):
 
 def _forbid_row_scan(monkeypatch):
     def row_scan(path, fmt):
-        raise AssertionError(f"{path} left the byte scan")
+        raise AssertionError(f"{path} reached the row scan")
     monkeypatch.setattr(dataset, "_scan_rows", row_scan)
 
 
@@ -278,18 +277,20 @@ def _count_row_scans(monkeypatch) -> list:
     return calls
 
 
-def test_standin_and_its_crlf_copy_load_by_the_byte_scan(standin, tmp_path, monkeypatch):
+def test_standin_and_its_crlf_and_cr_copies_skip_the_row_scan(standin, tmp_path, monkeypatch):
     expected = load_movielens_tab_oracle(standin)
     assert len(expected.edges) == 100_000
     crlf = tmp_path / "u_crlf.data"
     crlf.write_bytes(standin.read_bytes().replace(b"\n", b"\r\n"))
+    cr = tmp_path / "u_cr.data"
+    cr.write_bytes(standin.read_bytes().replace(b"\n", b"\r"))
     _forbid_row_scan(monkeypatch)
-    for path in (standin, crlf):
+    for path in (standin, crlf, cr):
         assert ratings_of(load_ratings(path, MOVIELENS_TAB)) == expected
 
 
 @pytest.mark.parametrize("rating, strict", [
-    ("4", True), ("4.5", True), ("10.25", True), (".5", False), ("5.", False),
+    ("4", True), ("4.5", True), ("10.25", True), (".5", True), ("5.", True),
     ("4..5", False), ("1.2.3", False), (".", False), ("4.5.", False), ("4.5e1", False),
 ])
 def test_rating_grammar(tmp_path, monkeypatch, rating, strict):
@@ -310,10 +311,9 @@ def test_cr_outside_crlf_matches_oracle(tmp_path, text):
 @pytest.mark.parametrize("block_chars", [ONE_BLOCK, 16])
 @pytest.mark.parametrize("name, strict", [
     ("plain", True), ("no_final_newline", True), ("crlf", True), ("duplicates", True),
-    ("empty", True), ("int_syntax", False), ("lone_cr", False), ("timestamp_past_int64", False),
+    ("empty", True), ("int_syntax", False), ("lone_cr", True), ("timestamp_past_int64", False),
 ])
 def test_only_lenient_syntax_reaches_the_row_scan(tmp_path, monkeypatch, name, strict, block_chars):
-    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
     calls = _count_row_scans(monkeypatch)
     path = tmp_path / "u.data"
     path.write_bytes(TAB_CASES[name].encode("utf-8"))
@@ -323,7 +323,6 @@ def test_only_lenient_syntax_reaches_the_row_scan(tmp_path, monkeypatch, name, s
 
 @pytest.mark.parametrize("block_chars", [ONE_BLOCK, 16])
 def test_ids_of_18_and_19_digits(tmp_path, monkeypatch, block_chars):
-    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
     calls = _count_row_scans(monkeypatch)
     path = tmp_path / "u.data"
     top = 2**63 - 1
@@ -331,10 +330,10 @@ def test_ids_of_18_and_19_digits(tmp_path, monkeypatch, block_chars):
     path.write_bytes(f"1\t10\t5\t0\n{eighteen}\t{eighteen}\t5\t{eighteen}\n".encode())
     _assert_tab_parse_matches_oracle(path)
     assert ratings_of(load_ratings(path)).edges == [(1, 10), (eighteen, eighteen)]
-    assert calls == []  # 18 digits stay on the byte scan
     path.write_bytes(f"1\t10\t5\t0\n{top}\t{top}\t5\t0\n".encode())
     _assert_tab_parse_matches_oracle(path)
     assert ratings_of(load_ratings(path)).edges == [(1, 10), (top, top)]
+    assert calls == []  # ids up to int64's largest skip the row scan
     for row in (f"{top + 1}\t10\t5\t0", f"1\t{top + 1}\t5\t0"):
         path.write_bytes(f"1\t10\t5\t0\n{row}\n".encode())
         _assert_tab_parse_matches_oracle(path)
@@ -345,7 +344,6 @@ def test_ids_of_18_and_19_digits(tmp_path, monkeypatch, block_chars):
 
 @pytest.mark.parametrize("block_chars", [16, 64])
 def test_line_longer_than_a_block(tmp_path, monkeypatch, block_chars):
-    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
     long_line = f"{'7' * 18}\t{'0' * 17}3\t4.{'5' * 200}\t{'1' * 18}"
     path = tmp_path / "u.data"
     path.write_bytes(("\ufeff1\t10\t5\t0\r\n" + long_line + "\r\n\n2\t3\t1\t0").encode("utf-8"))
@@ -355,9 +353,9 @@ def test_line_longer_than_a_block(tmp_path, monkeypatch, block_chars):
 
 
 # CSV files the loader must read exactly as the row-wise CSV oracle does, each
-# with whether the byte scan reads it whole (True) or the row scan runs (False).
+# with whether ``np.loadtxt`` reads it (True) or the row scan runs (False).
 CSV_CASES = {
-    # strict: an exact lower-case header, ASCII digits, LF or CRLF
+    # strict: an exact lower-case header, ASCII digits, LF, CRLF or CR
     "plain": ("person,movie,rating\n1,10,5\n2,10,3\n1,11,4\n", True),
     "two_field_header": ("person,movie\n1,10\n2,11\n007,0010\n", True),
     "no_final_newline": ("person,movie,rating\n1,10,5\n2,11,4", True),
@@ -365,6 +363,8 @@ CSV_CASES = {
     "byte_order_mark": ("\ufeffperson,movie\n1,10\n2,10\n", True),
     "blank_lines": ("person,movie\n\n1,10\n\n\n2,10\n\n", True),
     "decimal_rating": ("person,movie,rating\n1,10,4.5\n2,10,10.25\n", True),
+    "bare_dot_rating": ("person,movie,rating\n1,10,.5\n2,10,5.\n", True),
+    "lone_cr": ("person,movie\n1,10\r2,11\r\r3,12", True),
     "duplicates": ("person,movie,rating\n1,10,5\n1,10,4\n2,10,3\n1,10,5\n", True),
     # lenient: the csv module's quoting, any header case and spacing, blank ratings
     "quoted_field": ('person,movie,rating\n"1",10,5\n2,"10","3"\n', False),
@@ -374,7 +374,6 @@ CSV_CASES = {
     "blank_rating": ("person,movie,rating\n1,10,4\n2,10,\n3,10,  \n", False),
     "padded_ids": ("person,movie\n 1 ,10\n2,\t11 \n", False),
     "signed_ids": ("person,movie\n+1,10\n2,+0\n-0,3\n", False),
-    "lone_cr": ("person,movie\n1,10\r2,11\r\r3,12", False),
     "lone_cr_header": ("person,movie\r1,10\r", False),
     "quoted_newline": ('person,movie\n"1\n",10\n2,10\n', False),
     # errors
@@ -402,7 +401,6 @@ def _assert_csv_parse_matches_oracle(path):
 @pytest.mark.parametrize("block_chars", [ONE_BLOCK, 16])
 @pytest.mark.parametrize("name", sorted(CSV_CASES))
 def test_csv_parse_matches_row_oracle(tmp_path, monkeypatch, name, block_chars):
-    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
     calls = _count_row_scans(monkeypatch)
     text, strict = CSV_CASES[name]
     path = tmp_path / "r.csv"
@@ -414,9 +412,9 @@ def test_csv_parse_matches_row_oracle(tmp_path, monkeypatch, name, block_chars):
 def _seeded_csv_file(seed) -> str:
     """A header and random rows, mixed with blank lines and line endings.
 
-    Half the seeds keep to the byte scan's grammar but for the line
-    endings; the rest mix in quoting, padding, signs and blank ratings.
-    One seed in three plants one malformed line somewhere after the header.
+    Half the seeds keep to the strict form; the rest mix in quoting,
+    padding, signs and blank ratings.  One seed in three plants one
+    malformed line somewhere after the header.
     """
     rng = random.Random(f"csv:{seed}")
     odd = seed % 2 == 1
@@ -442,18 +440,119 @@ def _seeded_csv_file(seed) -> str:
 
 
 @pytest.mark.parametrize("block_chars", [ONE_BLOCK, 200])
-def test_seeded_csv_files_match_row_oracle(tmp_path, monkeypatch, block_chars):
-    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", block_chars)
+def test_seeded_csv_files_match_row_oracle(tmp_path, block_chars):
     path = tmp_path / "r.csv"
     for seed in range(60):
         path.write_bytes(_seeded_csv_file(seed).encode("utf-8"))
         _assert_csv_parse_matches_oracle(path)
 
 
+# -- the strict form against the oracles -------------------------------------------
+
+# What the differential files mix into their fields: bytes numpy's reader and
+# ``int``/``float`` read apart (numpy strips \x1c-\x1f and reads zero-padded
+# ids past ``int``'s digit limit), Unicode spaces and digits, signs, quotes,
+# the other format's separator, ids either side of int64's largest, and runs
+# of zeros either side of the 640 digits the strict form allows.
+HOSTILE = ["\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u3000", "\ufeff", "\uff11", "\u0663", " ",
+           "+", "-", '"', "_", "e", ".", "\t", ",", "\r", str(2**63 - 1), str(2**63),
+           "0" * 640, "0" * 700, "0" * 4401]
+
+# Files that once read differently with the byte check left out, and the edges
+# of the strict form: (format, text).
+PLANTED = [
+    *((MOVIELENS_TAB, f"1\t10\t5\t0\n2{c}\t10\t5\t0\n") for c in "\x1c\x1d\x1e\x1f"),
+    *((MOVIELENS_TAB, f"1\t{c}10\t5{c}\t{c}0\n") for c in "\x1c\x1f"),
+    *((GENERIC_CSV, f"person,movie\n1,10{c}\n") for c in "\x1c\x1f"),
+    (MOVIELENS_TAB, "0" * 639 + "1\t10\t5\t0\n"),  # 640 digits
+    (MOVIELENS_TAB, "0" * 640 + "1\t10\t5\t0\n"),  # 641 digits
+    (MOVIELENS_TAB, "1\t" + "0" * 4300 + "1\t5\t0\n"),  # 4301 digits
+    (GENERIC_CSV, "person,movie\n" + "0" * 4300 + "1,10\n"),
+    (GENERIC_CSV, "person,movie,rating\n1,10," + "5" * 131_073 + "\n"),
+    (MOVIELENS_TAB, "1\t10\t5\t0\n-1\t10\t5\t0\n"),
+    (GENERIC_CSV, "person,movie\n1,10\n2,-3\n"),
+    (MOVIELENS_TAB, ""),
+    (GENERIC_CSV, ""),
+    (GENERIC_CSV, "person,movie,rating\n"),
+    (GENERIC_CSV, "person,movie\r\n"),
+]
+
+
+def _hostile_file(fmt, seed) -> str:
+    """Rows of small ids, each field now and then laced with a HOSTILE token."""
+    rng = random.Random(f"hostile:{fmt}:{seed}")
+    sep, width = ("\t", 4) if fmt == MOVIELENS_TAB else (",", rng.choice([2, 3]))
+    # the tab oracle keeps a leading byte-order mark, so each file opens on a plain row
+    lines = ["1\t2\t3\t4"] if fmt == MOVIELENS_TAB else [["person,movie", "person,movie,rating"][width - 2]]
+    for _ in range(rng.randint(0, 12)):
+        fields = [str(rng.randint(0, 30)) for _ in range(width)]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            k = rng.randrange(width)
+            cut = rng.randint(0, len(fields[k]))
+            fields[k] = fields[k][:cut] + rng.choice(HOSTILE) + fields[k][cut:]
+        lines.append(sep.join(fields))
+    return "".join(line + rng.choice(["\n", "\n", "\r\n", "\r"]) for line in lines)
+
+
+def _assert_parse_matches_oracle(path, fmt):
+    oracle = load_movielens_tab_oracle if fmt == MOVIELENS_TAB else load_csv_oracle
+    assert _outcome(lambda: ratings_of(load_ratings(path, fmt))) == _outcome(lambda: oracle(path))
+
+
 @pytest.mark.parametrize("fmt", [MOVIELENS_TAB, GENERIC_CSV])
-def test_load_peak_memory_per_rating(tmp_path, monkeypatch, fmt):
-    # the loader peaked at 41.4 bytes a rating here in either format
-    # (tracemalloc, numpy 2.4); the CSV row reader it replaced peaked at 165.2
+def test_hostile_files_match_oracle(tmp_path, fmt):
+    path = tmp_path / "ratings"
+    for seed in range(300):
+        path.write_bytes(_hostile_file(fmt, seed).encode("utf-8"))
+        _assert_parse_matches_oracle(path, fmt)
+
+
+@pytest.mark.parametrize("fmt, text", PLANTED, ids=range(len(PLANTED)))
+def test_planted_files_match_oracle(tmp_path, fmt, text):
+    path = tmp_path / "ratings"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_parse_matches_oracle(path, fmt)
+
+
+@pytest.mark.parametrize("digits, strict", [(19, True), (640, True), (641, False)])
+def test_zero_padded_ids_up_to_640_digits_skip_the_row_scan(tmp_path, monkeypatch, digits, strict):
+    calls = _count_row_scans(monkeypatch)
+    path = tmp_path / "u.data"
+    path.write_bytes(f"{7:0{digits}}\t10\t5\t0\n".encode())
+    assert ratings_of(load_ratings(path)) == ratings_oracle([(7, 10)])
+    assert calls == ([] if strict else [path])
+
+
+@pytest.mark.parametrize("fmt, text", [(MOVIELENS_TAB, "\n"), (GENERIC_CSV, "person,movie\n")],
+                         ids=[MOVIELENS_TAB, GENERIC_CSV])
+def test_a_table_of_no_rows_warns_of_nothing(tmp_path, fmt, text):
+    path = tmp_path / "ratings"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyDatasetError):
+            load_ratings(path, fmt)
+
+
+def test_an_int_read_via_a_float_sends_the_file_to_the_row_scan(tmp_path, monkeypatch):
+    # numpy releases that still read "1.5" as the int 1 give a DeprecationWarning
+    def lenient_loadtxt(*args, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return np.ones(1, dtype=dtype)
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    calls = _count_row_scans(monkeypatch)
+    path = tmp_path / "u.data"
+    path.write_text("1.5\t10\t5\t0\n")
+    _assert_tab_parse_matches_oracle(path)
+    assert calls == [path]
+
+
+@pytest.mark.parametrize("fmt", [MOVIELENS_TAB, GENERIC_CSV])
+def test_load_peak_memory_per_rating(tmp_path, fmt):
+    # the loader peaked at 48.5 bytes a rating here for the tab file, while it
+    # holds the parsed table and the (m, 2) id array, and at 41.4 for the CSV
+    # (tracemalloc, numpy 2.4); the CSV row reader of an earlier loader
+    # peaked at 165.2
     rng = np.random.default_rng(0)
     n = 200_000
     columns = (rng.integers(1, 6041, n), rng.integers(1, 3953, n), rng.integers(1, 6, n),
@@ -464,7 +563,6 @@ def test_load_peak_memory_per_rating(tmp_path, monkeypatch, fmt):
     else:
         rows = map("{},{},{}\n".format, *(c.tolist() for c in columns[:3]))
         path.write_text("person,movie,rating\n" + "".join(rows))
-    monkeypatch.setattr(dataset, "LOAD_BLOCK_CHARS", 64 << 10)
     tracemalloc.start()
     try:
         g = load_ratings(path, fmt)
