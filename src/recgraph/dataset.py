@@ -216,23 +216,25 @@ def _scan_bytes(path, fmt) -> np.ndarray | None:
 
 
 def _scan_rows(path, fmt):
-    """Yield the (person, movie) pair of each rating row, read by ``csv.reader``.
+    """Yield the (person, movie) pair of each rating row.
 
     The lenient path, for files ``_scan_bytes`` gives None for.  A tab file
-    has four unquoted fields a row and needs its rating; a CSV file takes
-    the csv module's quoting, a ``person,movie[,rating]`` header in any case
-    and spacing, and a blank rating.  Fields take what ``int`` and ``float``
-    take (signs, underscores, padding, non-ASCII digits), and a lone CR
-    ends a line.  Raises ParseError at the first bad line; an undecodable
-    byte stays in its line (as a lone surrogate) and fails the field parse
-    there.
+    is split on its tabs, four unquoted fields of any length a row, and
+    needs its rating; a CSV file is read by ``csv.reader``, which takes
+    quoting, a ``person,movie[,rating]`` header in any case and spacing,
+    and a blank rating.  Fields take what ``int`` and ``float`` take
+    (signs, underscores, padding, non-ASCII digits), and a lone CR ends a
+    line.  Raises ParseError at the first bad line; an undecodable byte
+    stays in its line (as a lone surrogate) and fails the field parse there.
     """
     tab = fmt == MOVIELENS_TAB
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE) if tab else csv.reader(fh)
         try:
-            width = 4
-            if not tab:
+            if tab:
+                width = 4
+                rows = ((n, line.rstrip("\r\n").split("\t")) for n, line in enumerate(fh, 1))
+            else:
+                reader = csv.reader(fh)
                 header = next(reader, None)
                 if header is None:
                     raise EmptyDatasetError(f"{path}: empty file")
@@ -240,10 +242,10 @@ def _scan_rows(path, fmt):
                 if [h.strip().lower() for h in header] not in (
                         ["person", "movie"], ["person", "movie", "rating"]):
                     raise ParseError(path, 1, "header must be person,movie[,rating]")
-            for row in reader:
+                rows = ((reader.line_num, row) for row in reader)  # a quoted field may span lines
+            for lineno, row in rows:
                 if not any(cell.strip() for cell in row):
                     continue
-                lineno = reader.line_num  # a quoted field may span lines
                 if len(row) != width:
                     kind = "tab-separated fields" if tab else "fields"
                     raise ParseError(path, lineno, f"expected {width} {kind}, got {len(row)}")
@@ -258,7 +260,7 @@ def _scan_rows(path, fmt):
                 if tab:
                     _parse_int(row[3], path, lineno, "timestamp", limit=None)
                 yield person, movie
-        except csv.Error as exc:  # a field past csv.field_size_limit(), say
+        except csv.Error as exc:  # a CSV field past csv.field_size_limit(), say
             raise ParseError(path, reader.line_num, str(exc)) from None
 
 

@@ -35,7 +35,7 @@ class DegenerateModelError(RecgraphError):
 
 
 class InvalidDistributionError(RecgraphError):
-    """A degree distribution fails validation (mass, balance, or support)."""
+    """A degree distribution's arcs do not balance, or it has too few vertices or people."""
 
 
 class GraphMismatchError(RecgraphError):

@@ -5,9 +5,10 @@ whose edges connect people with sufficiently overlapping taste, plus a
 directed recommender graph G_r that keeps the movies reachable from that
 social structure.  A jump is its width w, the hammock of width w: it
 connects two people when they co-rated at least w movies.  Width 1 is the
-skip jump, which links every pair of co-raters.  Widths nest, so
-hammock_graphs counts the arcs of the first width asked for and cuts each
-later width from the arcs the width before it kept.
+skip jump, which links every pair of co-raters.  Widths nest: width w + 1
+is width w without the arcs whose count is exactly w.  So hammock_graphs,
+the one place a width is cut, counts the arcs of the first width asked for
+and drops one count's arcs per later width.
 
 In G_r every social edge contributes arcs in both directions and every
 rating contributes one person -> movie arc.  Movies have no outgoing arcs,
@@ -115,35 +116,31 @@ def co_rating_pairs(g: BipartiteRatings, width: int = 1):
     return np.concatenate(counts), Csr(indptr, np.concatenate(heads))
 
 
-def apply_jump(g: BipartiteRatings, width: int, table=None) -> SocialGraph:
+def apply_jump(g: BipartiteRatings, width: int) -> SocialGraph:
     """Induce the social graph of the jump with the given width.
 
     Two people are linked when they co-rated at least ``width`` movies, a
     positive int.  Every person stays a vertex even when isolated.
-    ``table``, when given, is any ``(count, rows)`` table holding every arc
-    of that width; the width's own table (:func:`co_rating_pairs`) by default.
     """
-    if not isinstance(width, int) or width < 1:
-        raise ValueError("width must be a positive integer")
-    count, rows = table if table is not None else co_rating_pairs(g, width)
-    keep = count >= width
-    # the kept arcs stay in row order, so a row ends where its kept arcs do
-    kept = np.concatenate([[0], np.cumsum(keep)])
-    return SocialGraph(g.people.copy(), Csr(kept[rows.indptr], rows.indices[keep]))
+    return SocialGraph(g.people.copy(), co_rating_pairs(g, width)[1])
 
 
 def hammock_graphs(g: BipartiteRatings, w_min: int, w_max: int):
     """Yield ``(w, social graph)`` for widths w_min..w_max.
 
-    Widths nest, so the table starts with w_min's arcs and each later width
-    is cut from the last one's kept arcs (their counts and its rows), the
-    only table held.
+    w_min's graph holds the rows of its own table (:func:`co_rating_pairs`).
+    Widths nest, so each later width drops the arcs of count w - 1 from the
+    last table, the only one held.
     """
     count, rows = co_rating_pairs(g, w_min)
     for w in range(w_min, w_max + 1):
-        gs = apply_jump(g, w, (count, rows))
-        count, rows = count[count >= w], gs._rows
-        yield w, gs
+        if w > w_min:
+            keep = count >= w
+            # kept arcs stay in row order: a row end moves back by the arcs dropped before it
+            indptr = rows.indptr - np.searchsorted(np.flatnonzero(~keep), rows.indptr)
+            count, rows = count[keep], Csr(indptr, rows.indices[keep])
+            del keep  # not held while the width is analysed
+        yield w, SocialGraph(g.people.copy(), rows)
 
 
 # -- recommender graph -------------------------------------------------------

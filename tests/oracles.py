@@ -161,7 +161,7 @@ def _oracle_parse_int(field, path, lineno, what):
 
 def _oracle_iter_movielens_tab(path):
     # an undecodable byte becomes a lone surrogate that fails its field parse
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip():

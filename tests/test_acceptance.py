@@ -34,7 +34,7 @@ from recgraph.dataset import (
     reorder_hits_buffs,
     sparsity,
 )
-from recgraph.jumps import co_rating_pairs
+from recgraph.jumps import hammock_graphs
 from recgraph.metrics import (
     DegreeDistribution,
     bfs_reach_count,
@@ -135,11 +135,8 @@ def test_ac03_standin_structure(monkeypatch):
     shape = standins.ML100K
     person_idx, movie_idx, _, _ = standins.generate(shape, 0)
     g = BipartiteRatings(np.column_stack((person_idx, movie_idx)) + 1)
-    pairs = co_rating_pairs(g)
-    reports = []
-    for w in range(1, 31):
-        gs = apply_jump(g, w, pairs)
-        reports.append((w, connected_components(RecommenderGraph(g, gs))))
+    reports = [(w, connected_components(RecommenderGraph(g, gs)))
+               for w, gs in hammock_graphs(g, 1, 30)]
     w_star = 0
     for w, report in reports:
         if len(report.component_sizes) != 1:

@@ -170,7 +170,7 @@ def test_sweep_leaves_l_pp_empty_when_the_social_giant_is_one_person():
     assert row.sampled_sources == "all"
 
 
-def test_sweep_analyses_each_width_once(monkeypatch):
+def test_sweep_analyses_each_width_once(tmp_path, capsys, monkeypatch):
     calls = {"components": 0, "distances": 0, "rows": 0, "tables": 0, "raters": 0}
 
     def counted(name, fn):
@@ -209,6 +209,14 @@ def test_sweep_analyses_each_width_once(monkeypatch):
     assert len(sweep_rows(g, 1, 3)) == 3
     assert calls["tables"] == 1 and calls["rows"] == 0
     assert calls["distances"] == 3 and calls["raters"] == 1
+    # cdf counts its arc table once per run too
+    path = tmp_path / "ratings.tsv"
+    write_movielens_tab(g, path)
+    calls.update(tables=0)
+    assert main(["cdf", "--input", str(path), "--w-min", "1", "--w-max", "3",
+                 "--out", str(tmp_path / "cdf")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert calls["tables"] == 1
 
 
 def write_weighted_path(path, shared):

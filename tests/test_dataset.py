@@ -475,6 +475,8 @@ PLANTED = [
     (GENERIC_CSV, ""),
     (GENERIC_CSV, "person,movie,rating\n"),
     (GENERIC_CSV, "person,movie\r\n"),
+    (MOVIELENS_TAB, "1\t10\t" + "5" * 131_073 + "\t0\n"),  # past csv's field limit
+    (MOVIELENS_TAB, "\ufeff1\t10\t5\t0\n2\t10\t5\t0\n"),
 ]
 
 
@@ -482,8 +484,7 @@ def _hostile_file(fmt, seed) -> str:
     """Rows of small ids, each field now and then laced with a HOSTILE token."""
     rng = random.Random(f"hostile:{fmt}:{seed}")
     sep, width = ("\t", 4) if fmt == MOVIELENS_TAB else (",", rng.choice([2, 3]))
-    # the tab oracle keeps a leading byte-order mark, so each file opens on a plain row
-    lines = ["1\t2\t3\t4"] if fmt == MOVIELENS_TAB else [["person,movie", "person,movie,rating"][width - 2]]
+    lines = [] if fmt == MOVIELENS_TAB else [["person,movie", "person,movie,rating"][width - 2]]
     for _ in range(rng.randint(0, 12)):
         fields = [str(rng.randint(0, 30)) for _ in range(width)]
         for _ in range(rng.choice([0, 0, 1, 2])):

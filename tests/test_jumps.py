@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from recgraph import (
     GraphMismatchError,
     RecommenderGraph,
     apply_jump,
+    load_ratings,
 )
 from recgraph import jumps
 from recgraph.dataset import BipartiteRatings
@@ -110,15 +114,6 @@ def test_hammock_monotone_in_width():
             prev = edges
 
 
-def test_precomputed_pairs_match():
-    for seed in range(20):
-        g = random_ratings(seed)
-        table = co_rating_pairs(g)
-        for w in (1, 2, 3):
-            assert (set(social_edges(apply_jump(g, w, table)))
-                    == set(social_edges(apply_jump(g, w))))
-
-
 def test_hammock_graphs_match_each_width_alone():
     # ranges from above 1, a single width, and ranges past the widest count
     for seed in range(30):
@@ -136,19 +131,27 @@ def test_hammock_graphs_match_each_width_alone():
 
 
 def test_hammock_graphs_cut_each_width_from_the_last(monkeypatch):
-    received = []
-    cut = jumps.apply_jump
+    # each width is cut from the last one's table, the only table held: once
+    # the next width is out, the arrays of the last one are freed, the first
+    # table's counts included
+    first = []
 
-    def recorded(g, width, table=None):
-        received.append(len(table[0]))
-        return cut(g, width, table)
+    def recorded(g, width):
+        table = co_rating_pairs(g, width)
+        first.append(weakref.ref(table[0]))
+        return table
 
-    monkeypatch.setattr(jumps, "apply_jump", recorded)
+    monkeypatch.setattr(jumps, "co_rating_pairs", recorded)
     for seed in range(10):
         g = random_ratings(seed)
-        received.clear()
-        arcs = [len(gs.adjacency_csr().indices) for _, gs in hammock_graphs(g, 2, 7)]
-        assert received == [len(co_rating_pairs(g, 2)[0]), *arcs[:-1]], seed
+        first.clear()
+        graphs = hammock_graphs(g, 2, 7)
+        held = []
+        for w in range(2, 8):
+            got, gs = next(graphs)
+            assert got == w and all(ref() is None for ref in held), (seed, w)
+            held = [weakref.ref(a) for a in gs.adjacency_csr()] + (first if w == 2 else [])
+            del gs
 
 
 def test_co_rating_blocks_match_one_block(monkeypatch):
@@ -170,8 +173,7 @@ def test_co_rating_blocks_match_one_block(monkeypatch):
         for w in range(1, int(count.max(initial=0)) + 2):
             linked = {(people[i], people[j]) for (i, j), c in arcs.items() if i < j and c >= w}
             assert linked == hammock_edges_bruteforce(g, w), (seed, w)
-        for w in (1, 2, 3):
-            gs = apply_jump(g, w, whole)
+        for w, gs in hammock_graphs(g, 1, 3):
             eu, ev = gs.edges()
             rebuilt = csr(n, np.concatenate([eu, ev]), np.concatenate([ev, eu]))
             for got, want in zip(gs.adjacency_csr(), rebuilt):
@@ -187,6 +189,25 @@ def test_co_rating_blocks_match_one_block(monkeypatch):
                 for got, exp in zip((blocked[0], *blocked[1]), want):
                     assert got.dtype == exp.dtype and np.array_equal(got, exp), (seed, w, step)
             monkeypatch.undo()  # back to one block
+
+
+def test_hammock_cut_peak_memory_per_arc(standin, monkeypatch):
+    # draining hammock_graphs(g, 17, 18) on the benchmark's stand-in from a
+    # table built beforehand peaks at 12.2 bytes per table arc (tracemalloc,
+    # numpy 2.4): a keep mask and the kept arcs' counts and heads; cutting
+    # every width, the first one included, through a cumsum as long as the
+    # table read 29.1
+    g = load_ratings(standin)
+    table = co_rating_pairs(g, 17)
+    monkeypatch.setattr(jumps, "co_rating_pairs", lambda g, width: table)
+    tracemalloc.start()
+    try:
+        widths = [w for w, _ in hammock_graphs(g, 17, 18)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert widths == [17, 18]
+    assert peak <= 16 * len(table[0])
 
 
 def test_two_step_reachability_is_composed_jumps():
