@@ -9,7 +9,9 @@ Every produced CSV is a pure function of (input, configuration, seed), and
 every one is written by ``_write_csv``, the one place the format lives:
 comma-separated, header row, LF line endings, UTF-8, numbers at 6
 significant digits, counts as plain integers, an undefined value as an
-empty cell.  Exit codes: 0 success, 1 input error (missing/malformed/empty
+empty cell: one whose metric or model raises UndefinedMetricError,
+DegenerateModelError or InvalidDistributionError, caught in ``_defined``
+alone.  Exit codes: 0 success, 1 input error (missing/malformed/empty
 dataset), 2 configuration error.
 """
 
@@ -226,6 +228,14 @@ def _write_csv(path: Path, header, rows):
 # -- sweep core (shared with tests) --------------------------------------------
 
 
+def _defined(call, *args):
+    """``call(*args)``, or None where the metric or its model is undefined."""
+    try:
+        return call(*args)
+    except (UndefinedMetricError, DegenerateModelError, InvalidDistributionError):
+        return None
+
+
 def sweep_rows(g, w_min, w_max, max_sources=None, seed=0):
     """Measure and predict across hammock widths; one SweepRow per width.
 
@@ -233,63 +243,38 @@ def sweep_rows(g, w_min, w_max, max_sources=None, seed=0):
     l_pm follow arcs in the recommender graph.  Movies are sinks there, so
     person-to-person distances in G_r are the social distances, and one
     distance pass gives all three whenever both giants hold the same people.
-    Predictions use the giant component's degree distributions; degenerate
-    models leave their columns empty.
+    Predictions use the giant component's degree distributions; predicted
+    l_pm backs out of l_r and l_pp over one population, so it stays empty
+    when the giants differ.
     """
     rows = []
     for w, gs in hammock_graphs(g, w_min, w_max):
         gr = RecommenderGraph(g, gs)
         report = connected_components(gr)
-        n_gp = len(report.giant_people)
-        n_gm = len(report.giant_movies)
         same_giant = connected_components(gs).giant_people == report.giant_people
-
-        l_pp_m = l_r_m = l_pm_m = None
-        sampled = "all"
-        if not same_giant:
-            try:
-                stats = measure_l_pp(gs, max_sources, seed)
-                l_pp_m = stats.l_pp
-                if stats.sampled:
-                    sampled = str(stats.sources)
-            except UndefinedMetricError:
-                pass
-        try:
-            stats = measure_l_r_l_pm(gr, max_sources, seed)
-            if same_giant:
-                l_pp_m = stats.l_pp
-            l_r_m = stats.l_r
-            l_pm_m = stats.l_pm
-            if stats.sampled:
-                sampled = str(stats.sources)
-        except UndefinedMetricError:
-            pass
-
-        l_pp_p = l_r_p = l_pm_p = None
-        try:
-            l_pp_p = predict_l_pp(degree_distribution(gs, largest_only=True))
-        except (DegenerateModelError, InvalidDistributionError, UndefinedMetricError):
-            pass
-        try:
-            l_r_p = predict_l_r(joint_degree_distribution(gr, largest_only=True))
-        except (DegenerateModelError, InvalidDistributionError, UndefinedMetricError):
-            pass
-        if l_r_p is not None and l_pp_p is not None and n_gm >= 1 and n_gp >= 2:
-            l_pm_p = predict_l_pm(l_r_p, l_pp_p, n_gp, n_gm)
+        r_stats = _defined(measure_l_r_l_pm, gr, max_sources, seed)
+        s_stats = r_stats if same_giant else _defined(measure_l_pp, gs, max_sources, seed)
+        sampled = [s.sources for s in (s_stats, r_stats) if s is not None and s.sampled]
+        l_pp_p = _defined(lambda: predict_l_pp(degree_distribution(gs, largest_only=True)))
+        l_r_p = _defined(lambda: predict_l_r(joint_degree_distribution(gr, largest_only=True)))
+        l_pm_p = None
+        if same_giant and l_r_p is not None and l_pp_p is not None:
+            l_pm_p = _defined(predict_l_pm, l_r_p, l_pp_p, len(report.giant_people),
+                              len(report.giant_movies))
 
         rows.append(SweepRow(
             w=w,
             components=len(report.component_sizes),
-            giant_people=n_gp,
-            giant_movies=n_gm,
+            giant_people=len(report.giant_people),
+            giant_movies=len(report.giant_movies),
             isolated_people=report.isolated_people,
-            l_pp_measured=l_pp_m,
-            l_r_measured=l_r_m,
-            l_pm_measured=l_pm_m,
+            l_pp_measured=s_stats.l_pp if s_stats else None,
+            l_r_measured=r_stats.l_r if r_stats else None,
+            l_pm_measured=r_stats.l_pm if r_stats else None,
             l_pp_predicted=l_pp_p,
             l_r_predicted=l_r_p,
             l_pm_predicted=l_pm_p,
-            sampled_sources=sampled,
+            sampled_sources=str(sampled[0]) if sampled else "all",
         ))
     return rows
 
@@ -341,7 +326,6 @@ def cmd_synth_study(cfg: RunConfig) -> int:
     lengths = [f.name for f in fields(SweepRow) if f.name.startswith("l_")]
     study_rows = []
     linf_rows = []
-    widths = range(cfg.w_min, cfg.w_max + 1)
     for kappa in range(cfg.kappa_min, cfg.kappa_max + 1):
         try:
             eps = calibrate_epsilon(kappa, cfg.n_people, cfg.n_movies)
@@ -349,35 +333,24 @@ def cmd_synth_study(cfg: RunConfig) -> int:
             print(f"warning: kappa={kappa} skipped: {exc}", file=sys.stderr)
             linf_rows.append((kappa, None, None))
             continue
-        per_w = {w: {name: [] for name in lengths} for w in widths}
+        trials = []
         for trial in range(cfg.trials):
-            synth_cfg = SynthConfig(
+            g, _ = generate_power_law_bipartite(SynthConfig(
                 n_people=cfg.n_people, n_movies=cfg.n_movies, epsilon=eps,
-                seed=f"{cfg.seed}:{kappa}:{trial}",
-            )
-            g, _ = generate_power_law_bipartite(synth_cfg)
-            rows = sweep_rows(g, cfg.w_min, cfg.w_max, cfg.max_sources, cfg.seed)
-            for row in rows:
-                for name in lengths:
-                    value = getattr(row, name)
-                    if value is not None:
-                        per_w[row.w][name].append(value)
-        measured_avg = []
-        predicted_avg = []
-        for w in widths:
-            bucket = per_w[w]
-            averages = {
-                name: (sum(vals) / len(vals) if vals else None)
-                for name, vals in bucket.items()
-            }
-            measured_avg.append(averages["l_pp_measured"])
-            predicted_avg.append(averages["l_pp_predicted"])
-            study_rows.append((kappa, eps, w, *(averages[name] for name in lengths),
-                               len(bucket["l_pp_measured"])))
-        try:
-            linf = linf_discrepancy(measured_avg, predicted_avg)
-        except UndefinedMetricError:
-            linf = None
+                seed=f"{cfg.seed}:{kappa}:{trial}"))
+            trials.append(sweep_rows(g, cfg.w_min, cfg.w_max, cfg.max_sources, cfg.seed))
+        averages = []
+        # every trial lists every width in order, so each zipped tuple is one width
+        for rows in zip(*trials):
+            defined = {name: [v for row in rows if (v := getattr(row, name)) is not None]
+                       for name in lengths}
+            mean = {name: sum(vals) / len(vals) if vals else None
+                    for name, vals in defined.items()}
+            averages.append(mean)
+            study_rows.append((kappa, eps, rows[0].w, *mean.values(),
+                               len(defined["l_pp_measured"])))
+        linf = _defined(linf_discrepancy, [m["l_pp_measured"] for m in averages],
+                        [m["l_pp_predicted"] for m in averages])
         linf_rows.append((kappa, eps, linf))
     out = Path(cfg.out)
     _write_csv(out / "synth_study.csv", ["kappa", "epsilon", "w", *lengths, "defined_trials"],
@@ -404,10 +377,7 @@ def cmd_cdf(cfg: RunConfig) -> int:
     g = _load_dataset(cfg)
     header = ["degree", "log10_count" if cfg.log_scale else "count"]
     for w, gs in hammock_graphs(g, cfg.w_min, cfg.w_max):
-        try:
-            dist = degree_distribution(gs, largest_only=cfg.largest_only)
-        except UndefinedMetricError:
-            continue
+        dist = degree_distribution(gs, largest_only=cfg.largest_only)
         _write_csv(Path(cfg.out) / f"cdf_w{w:02d}.csv", header,
                    degree_cdf(dist, log_scale=cfg.log_scale))
     return 0

@@ -23,7 +23,8 @@ class UnknownNodeError(RecgraphError, KeyError):
 
 
 class UndefinedMetricError(RecgraphError):
-    """A metric is undefined for the given graph (empty, or giant too small)."""
+    """A metric is undefined for its input: an empty graph, a giant too small,
+    or no overlapping entries to compare."""
 
 
 class FitError(RecgraphError):

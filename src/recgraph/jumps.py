@@ -160,7 +160,6 @@ class RecommenderGraph:
             raise GraphMismatchError("social graph vertices differ from the dataset's people")
         self.ratings = ratings
         self.social = social
-        self._out = None
         self._components = None  # ComponentReport, filled by metrics
 
     @property
@@ -176,18 +175,17 @@ class RecommenderGraph:
                 f"person_arcs={2 * self.social.edge_count}, movie_arcs={self.ratings.edge_count})")
 
     def out_csr(self):
-        """G_r's arcs as out-arc rows over one index space (cached); see ``edges.Csr``.
+        """G_r's arcs as out-arc rows over one index space; see ``edges.Csr``.
 
         Indices 0..n_people-1 are people (in ``ratings.people`` order) and
         the rest are movies (in ``ratings.movies`` order).  This lists the
         graph; the distance pass in ``metrics`` does not build it, reading
-        the social rows and each movie's raters instead.
+        the social rows and each movie's raters instead, so each call
+        builds the rows anew.
         """
-        if self._out is None:
-            np_ = self.n_people
-            social = self.social.adjacency_csr()
-            tails = np.concatenate([np.repeat(np.arange(np_), self.social.degrees()),
-                                    self.ratings.edge_person_idx])
-            heads = np.concatenate([social.indices, self.ratings.edge_movie_idx + np_])
-            self._out = csr(np_ + self.n_movies, tails, heads)
-        return self._out
+        np_ = self.n_people
+        tails = np.concatenate([np.repeat(np.arange(np_), self.social.degrees()),
+                                self.ratings.edge_person_idx])
+        heads = np.concatenate([self.social.adjacency_csr().indices,
+                                self.ratings.edge_movie_idx + np_])
+        return csr(np_ + self.n_movies, tails, heads)

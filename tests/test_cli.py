@@ -170,6 +170,28 @@ def test_sweep_leaves_l_pp_empty_when_the_social_giant_is_one_person():
     assert row.sampled_sources == "all"
 
 
+def test_sweep_leaves_predicted_l_pm_empty_when_the_giants_differ():
+    # at w=2 the social giant is a star: person 1 co-rates two movies with
+    # each of people 2-6.  People 7-11 all rate movies 100 and 101, and
+    # person 7's 58 more movies make them the recommender giant.  Predicted
+    # l_pm backs out of l_r and l_pp over one population; mixing the star's
+    # l_pp (2.0) with the clique's l_r read 3.68429, and the clique's own
+    # l_pp prediction (1.0) would give 3.75095, so the cell stays empty
+    rows = [(q, m) for j in range(2, 7) for m in (10 * j, 10 * j + 1) for q in (1, j)]
+    rows += [(p, m) for p in range(7, 12) for m in (100, 101)]
+    rows += [(7, m) for m in range(200, 258)]
+    (row,) = sweep_rows(BipartiteRatings(rows), 2, 2)
+    assert (row.components, row.giant_people, row.giant_movies) == (2, 5, 60)
+    assert row.l_pp_predicted == 2.0
+    assert row.l_r_predicted is not None
+    assert row.l_pm_predicted is None
+    # the measured columns keep their giants: l_pp over the star, l_r and
+    # l_pm from the clique's five people
+    assert row.l_pp_measured == 50 / 30
+    assert row.l_r_measured == 552 / 320
+    assert row.l_pm_measured == 532 / 300
+
+
 def test_sweep_analyses_each_width_once(tmp_path, capsys, monkeypatch):
     calls = {"components": 0, "distances": 0, "rows": 0, "tables": 0, "raters": 0}
 

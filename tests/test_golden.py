@@ -1,4 +1,4 @@
-"""Golden outputs: the SHA-256 of every CSV eight small CLI runs write.
+"""Golden outputs: the SHA-256 of every CSV nine small CLI runs write.
 
 The rating file is the benchmark's seeded ML-100k-shaped stand-in
 (``perfbench/standins.py``, seed 0), written by the ``standin`` fixture in
@@ -8,7 +8,9 @@ byte fails here.  ``sweep-csv`` reads the same ratings as a
 ``person,movie,rating`` CSV and must write the tab ``sweep`` run's bytes.
 ``sweep-chain`` walks widths 1..30, so every width there is cut from the
 one before it.  ``cdf`` writes log10 counts over the giant; ``cdf-counts``
-writes the plain vertex counts over every person.  ``ws-lattice`` is the benchmark's n = 1000, k = 10 run: its
+writes the plain vertex counts over every person.  ``synth-study-trials``
+averages three trials per kappa, with six (width, column) cells defined in
+some trials and not others.  ``ws-lattice`` is the benchmark's n = 1000, k = 10 run: its
 16-word BFS blocks switch to the slab pull, and two of its trials move no
 edge.
 """
@@ -40,6 +42,10 @@ GOLDEN = {
         "6d3368e7bf6f2dd182febb53f869be90a698d1942b54264dd4d5d4d1e07fd6ad",
     ("synth-study", "synth_study.csv"):
         "f040808060a01d6e201e1f5714af5ed1bbf8ab2d475e3e75c11a3ec6acacea6f",
+    ("synth-study-trials", "synth_linf.csv"):
+        "6128fdf99d3e65edd733be2e4590a4327e18115b0e9000796f590da8108080ba",
+    ("synth-study-trials", "synth_study.csv"):
+        "bed3675659b0351609f2795925a1b69566ae69a623a05ea40a69a73409f2d56a",
     ("ws", "ws.csv"):
         "8243fb4809a77cab2485777b115433a42d68c22803b03c6dbf1a92fa5c39bc52",
     ("ws-lattice", "ws.csv"):
@@ -59,13 +65,17 @@ def _runs(path, csv_path):
         "cdf-counts": ["cdf", "--input", str(path), "--w-min", "17", "--w-max", "18"],
         "synth-study": ["synth-study", "--kappa-min", "1", "--kappa-max", "3",
                         "--w-min", "1", "--w-max", "6"],
+        "synth-study-trials": ["synth-study", "--kappa-min", "1", "--kappa-max", "3",
+                               "--w-min", "1", "--w-max", "12", "--n-people", "30",
+                               "--n-movies", "12", "--trials", "3"],
         "ws": ["ws", "--n", "200", "--k", "6", "--mode", "both", "--trials", "2"],
         "ws-lattice": ["ws", "--n", "1000", "--k", "10", "--mode", "both", "--trials", "3"],
     }
 
 
 @pytest.mark.parametrize("command", ["sweep", "sweep-csv", "sweep-chain", "cdf", "cdf-counts",
-                                     "synth-study", "ws", "ws-lattice"])
+                                     "synth-study", "synth-study-trials", "ws",
+                                     "ws-lattice"])
 def test_csv_digests_match_golden(command, standin, standin_csv, tmp_path, capsys):
     out = tmp_path / command
     assert main(_runs(standin, standin_csv)[command] + ["--out", str(out)]) == 0
