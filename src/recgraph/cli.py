@@ -251,7 +251,10 @@ def sweep_rows(g, w_min, w_max, max_sources=None, seed=0):
     for w, gs in hammock_graphs(g, w_min, w_max):
         gr = RecommenderGraph(g, gs)
         report = connected_components(gr)
-        same_giant = connected_components(gs).giant_people == report.giant_people
+        n_gp = np.count_nonzero(report.people_in_giant)
+        n_gm = np.count_nonzero(report.movies_in_giant)
+        same_giant = np.array_equal(connected_components(gs).people_in_giant,
+                                    report.people_in_giant)
         r_stats = _defined(measure_l_r_l_pm, gr, max_sources, seed)
         s_stats = r_stats if same_giant else _defined(measure_l_pp, gs, max_sources, seed)
         sampled = [s.sources for s in (s_stats, r_stats) if s is not None and s.sampled]
@@ -259,14 +262,13 @@ def sweep_rows(g, w_min, w_max, max_sources=None, seed=0):
         l_r_p = _defined(lambda: predict_l_r(joint_degree_distribution(gr, largest_only=True)))
         l_pm_p = None
         if same_giant and l_r_p is not None and l_pp_p is not None:
-            l_pm_p = _defined(predict_l_pm, l_r_p, l_pp_p, len(report.giant_people),
-                              len(report.giant_movies))
+            l_pm_p = _defined(predict_l_pm, l_r_p, l_pp_p, n_gp, n_gm)
 
         rows.append(SweepRow(
             w=w,
             components=len(report.component_sizes),
-            giant_people=len(report.giant_people),
-            giant_movies=len(report.giant_movies),
+            giant_people=n_gp,
+            giant_movies=n_gm,
             isolated_people=report.isolated_people,
             l_pp_measured=s_stats.l_pp if s_stats else None,
             l_r_measured=r_stats.l_r if r_stats else None,

@@ -41,7 +41,7 @@ class SocialGraph:
     def __init__(self, vertices, rows: Csr):
         self.vertices = np.asarray(vertices, dtype=np.int64)
         self._rows = rows
-        self._labels = None  # component labels, sizes and anchors, filled by metrics
+        self._labels = None  # component labels and sizes, filled by metrics
         self._components = None  # ComponentReport, filled by metrics
 
     # -- shape -------------------------------------------------------------

@@ -83,15 +83,18 @@ class ComponentReport:
     """Component structure of a graph.
 
     ``component_sizes`` holds (people, movies) pairs in the listing order
-    described by :func:`connected_components`; ``giant_people`` and
-    ``giant_movies`` are the ids inside the largest component.
+    described by :func:`connected_components`.  The largest component is
+    held as two boolean masks: ``people_in_giant`` is aligned with the
+    graph's people (``vertices``) and ``movies_in_giant`` with
+    ``ratings.movies``; a social graph's movie mask is empty.  Index with
+    them, as ``gs.vertices[report.people_in_giant]``, to read ids.
     ``isolated_people`` counts the one-person social components, the people
     without a social edge (a movie they rated does not join them to anyone).
     """
 
     component_sizes: tuple
-    giant_people: tuple
-    giant_movies: tuple
+    people_in_giant: np.ndarray
+    movies_in_giant: np.ndarray
     isolated_people: int
 
 
@@ -172,9 +175,10 @@ def connected_components(graph) -> ComponentReport:
     edges alone connect them.
 
     Components are listed by total size descending, ties broken toward more
-    people and then the smaller minimum vertex id; the first entry is the
-    giant component.  Both graph types are immutable, so the report is kept
-    on the graph and later calls return it.
+    people and then label order, which is the smaller minimum vertex id;
+    the first entry is the giant component, whose people and movies the
+    report holds as masks.  Both graph types are immutable, so the report
+    is kept on the graph and later calls return it.
     """
     if isinstance(graph, RecommenderGraph):
         social = graph.social
@@ -190,30 +194,30 @@ def connected_components(graph) -> ComponentReport:
 
 
 def _labelling(social: SocialGraph) -> tuple:
-    """(label per person, people per label, minimum person id per label), cached.
+    """(label per person, people per label), cached.
 
-    A recommender graph's people partition as its social graph's do, so the
+    Labels are numbered by smallest vertex (see ``edges.component_labels``)
+    and vertices are sorted, so label order is the order of each
+    component's minimum person id, and a stable sort leaves ties in it.  A
+    recommender graph's people partition as its social graph's do, so the
     reports of both read this one labelling, kept on the social graph.
     """
     if social._labels is None:
         labels = component_labels(social.n, *social.edges())
-        # vertices are sorted, so a label's first index holds its minimum person id
-        _, first = np.unique(labels, return_index=True)
-        social._labels = labels, np.bincount(labels), social.vertices[first]
+        social._labels = labels, np.bincount(labels)
     return social._labels
 
 
 def _component_report(social: SocialGraph, ratings) -> ComponentReport:
-    labels, people, anchor = _labelling(social)
+    labels, people = _labelling(social)
     isolated = int(np.count_nonzero(people == 1))
     n_comp = len(people)
     movies = np.zeros(n_comp, dtype=np.int64)
-    movie_ids = movie_label = np.empty(0, dtype=np.int64)
+    movie_label = np.empty(0, dtype=np.int64)
     if ratings is not None:
-        movie_ids = ratings.movies
-        # rank person components by (people desc, min person id asc); each
-        # movie joins the best-ranked component among its raters
-        by_rank = np.lexsort((anchor, -people))
+        # rank person components by people, descending, ties in label order;
+        # each movie joins the best-ranked component among its raters
+        by_rank = np.argsort(-people, kind="stable")
         rank = np.empty(n_comp, dtype=np.int64)
         rank[by_rank] = np.arange(n_comp)
         best = np.full(ratings.n_movies, n_comp, dtype=np.int64)
@@ -222,21 +226,21 @@ def _component_report(social: SocialGraph, ratings) -> ComponentReport:
         movie_label = np.empty(ratings.n_movies, dtype=np.int64)
         movie_label[rated] = by_rank[best[rated]]
         movies = np.bincount(movie_label[rated], minlength=n_comp)
-        # each unrated movie is a component of its own, labelled after the people's
-        unrated = movie_ids[~rated]
-        movie_label[~rated] = np.arange(n_comp, n_comp + len(unrated))
-        people = np.concatenate([people, np.zeros(len(unrated), dtype=np.int64)])
-        movies = np.concatenate([movies, np.ones(len(unrated), dtype=np.int64)])
-        anchor = np.concatenate([anchor, unrated])
+        # each unrated movie is a component of its own, labelled after the
+        # people's in movie order; it never ties with a component of people
+        unrated = np.count_nonzero(~rated)
+        movie_label[~rated] = np.arange(n_comp, n_comp + unrated)
+        people = np.concatenate([people, np.zeros(unrated, dtype=np.int64)])
+        movies = np.concatenate([movies, np.ones(unrated, dtype=np.int64)])
     if len(people) == 0:
-        return ComponentReport((), (), (), 0)
+        return ComponentReport((), np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), 0)
 
-    order = np.lexsort((anchor, -people, -(people + movies)))
+    order = np.lexsort((-people, -(people + movies)))
     giant = order[0]
     return ComponentReport(
         component_sizes=tuple(zip(people[order].tolist(), movies[order].tolist())),
-        giant_people=tuple(social.vertices[labels == giant].tolist()),
-        giant_movies=tuple(movie_ids[movie_label == giant].tolist()),
+        people_in_giant=labels == giant,
+        movies_in_giant=movie_label == giant,
         isolated_people=isolated,
     )
 
@@ -252,8 +256,7 @@ def degree_distribution(gs: SocialGraph, largest_only=False) -> DegreeDistributi
     """
     degrees = gs.degrees()
     if largest_only:
-        report = connected_components(gs)
-        degrees = degrees[np.isin(gs.vertices, report.giant_people)]
+        degrees = degrees[connected_components(gs).people_in_giant]
     values, counts = np.unique(degrees, return_counts=True)
     return DegreeDistribution(dict(zip(values.tolist(), counts.tolist())))
 
@@ -269,8 +272,7 @@ def joint_degree_distribution(gr: RecommenderGraph, largest_only=False) -> Joint
     ratings = gr.ratings
     if largest_only:
         report = connected_components(gr)
-        keep_p = np.isin(ratings.people, report.giant_people)
-        keep_m = np.isin(ratings.movies, report.giant_movies)
+        keep_p, keep_m = report.people_in_giant, report.movies_in_giant
     else:
         keep_p = np.ones(gr.n_people, dtype=bool)
         keep_m = np.ones(gr.n_movies, dtype=bool)
@@ -291,17 +293,17 @@ def joint_degree_distribution(gr: RecommenderGraph, largest_only=False) -> Joint
 def _pick_sources(candidates, max_sources, seed):
     """Every candidate up to a limit, else a seeded uniform sample of a count.
 
-    ``max_sources`` is both the limit and the count; None applies the
-    default policy: exact through EXACT_SOURCE_LIMIT people, then
-    DEFAULT_SAMPLED_SOURCES samples.
+    ``candidates`` is an ascending sequence, and so is the result; the
+    sample's positions depend only on its length.  ``max_sources`` is both
+    the limit and the count; None applies the default policy: exact through
+    EXACT_SOURCE_LIMIT people, then DEFAULT_SAMPLED_SOURCES samples.
     """
     limit, count = ((EXACT_SOURCE_LIMIT, DEFAULT_SAMPLED_SOURCES) if max_sources is None
                     else (max_sources, max_sources))
-    ordered = sorted(candidates)
-    if len(ordered) <= limit:
-        return ordered, False
+    if len(candidates) <= limit:
+        return candidates, False
     rng = random.Random(f"sources:{seed}")
-    return sorted(rng.sample(ordered, count)), True
+    return sorted(rng.sample(candidates, count)), True
 
 
 def _bfs_levels(rows, n_people, src_idx):
@@ -384,10 +386,10 @@ def _slabs(rows):
     return groups
 
 
-def _path_lengths(social, rows, giant_people, max_sources, seed) -> PathLengthStats:
+def _path_lengths(social, rows, people_in_giant, max_sources, seed) -> PathLengthStats:
     """One distance pass over ``rows`` from the giant's people (or a sample of them)."""
-    sources, sampled = _pick_sources(giant_people, max_sources, seed)
-    levels = _bfs_levels(rows, social.n, np.searchsorted(social.vertices, sources))
+    sources, sampled = _pick_sources(np.flatnonzero(people_in_giant).tolist(), max_sources, seed)
+    levels = _bfs_levels(rows, social.n, np.array(sources, dtype=np.intp))
     pairs_pp = sum(pp for pp, _ in levels)
     pairs_pm = sum(pm for _, pm in levels)
     sum_pp = sum(d * pp for d, (pp, _) in enumerate(levels, 1))
@@ -415,10 +417,10 @@ def measure_l_pp(gs: SocialGraph, max_sources=None, seed=0) -> PathLengthStats:
     the rating graph's ``bfs_reach_count``.  A social graph has no movies,
     so ``l_pm`` and ``l_r`` are None and ``pairs_pm`` is 0.
     """
-    report = connected_components(gs)
-    if len(report.giant_people) < 2:
+    in_giant = connected_components(gs).people_in_giant
+    if np.count_nonzero(in_giant) < 2:
         raise UndefinedMetricError("l_pp needs a giant component with at least 2 people")
-    stats = _path_lengths(gs, gs.adjacency_csr(), report.giant_people, max_sources, seed)
+    stats = _path_lengths(gs, gs.adjacency_csr(), in_giant, max_sources, seed)
     return replace(stats, l_r=None)
 
 
@@ -432,11 +434,11 @@ def measure_l_r_l_pm(gr: RecommenderGraph, max_sources=None, seed=0) -> PathLeng
     l_r * (pairs_pp + pairs_pm) == l_pp * pairs_pp + l_pm * pairs_pm.
     Unreachable pairs are simply absent from the counts.
     """
-    report = connected_components(gr)
-    if not report.giant_people:
+    in_giant = connected_components(gr).people_in_giant
+    if not in_giant.any():
         raise UndefinedMetricError("l_r needs at least one person source in the giant")
     return _path_lengths(gr.social, _over_raters(gr.social.adjacency_csr(), gr.ratings),
-                         report.giant_people, max_sources, seed)
+                         in_giant, max_sources, seed)
 
 
 def bfs_reach_count(g: BipartiteRatings, person, depth) -> int:

@@ -32,7 +32,6 @@ import numpy as np
 
 from .dataset import BipartiteRatings
 from .edges import Csr, csr
-from .errors import UndefinedMetricError
 from .jumps import SocialGraph
 from .metrics import (
     _local_clustering,
@@ -364,11 +363,7 @@ class CurvePoint:
 
 def _giant_clustering(graph: SocialGraph) -> float:
     """The clustering coefficient of the giant component alone."""
-    report = connected_components(graph)
-    if not report.giant_people:
-        raise UndefinedMetricError("no giant component to measure")
-    in_giant = np.isin(graph.vertices, report.giant_people)
-    return float(_local_clustering(graph)[in_giant].mean())
+    return float(_local_clustering(graph)[connected_components(graph).people_in_giant].mean())
 
 
 def _lattice_path_length(n: int, k: int) -> float:

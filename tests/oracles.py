@@ -399,6 +399,30 @@ def giant_people_oracle(gs: SocialGraph) -> set:
     return set(min(groups, key=lambda grp: (-len(grp), min(grp))))
 
 
+def recommender_components_oracle(g: BipartiteRatings, gs: SocialGraph) -> list:
+    """Components of the recommender graph over ``g`` and ``gs``, as (people, movies) id sets.
+
+    People group by union-find over the social edges.  Each rated movie
+    joins the group of its raters with the most people, ties to the smaller
+    minimum person id; an unrated movie stands alone.  Listed by total size
+    descending, then people descending, then the smaller minimum id in the
+    component's own space: person ids for a group, the movie id for a lone movie.
+    """
+    groups = social_partition(gs)
+    group_of = {p: grp for grp in groups for p in grp}
+    movies_of = {grp: set() for grp in groups}
+    alone = []
+    for movie, raters in people_by_movie(g).items():
+        if raters:
+            best = min((group_of[p] for p in raters), key=lambda grp: (-len(grp), min(grp)))
+            movies_of[best].add(movie)
+        else:
+            alone.append((set(), {movie}))
+    components = [(set(grp), movies) for grp, movies in movies_of.items()] + alone
+    return sorted(components, key=lambda c: (-len(c[0]) - len(c[1]), -len(c[0]),
+                                             min(c[0] or c[1])))
+
+
 # -- id-space rewiring ----------------------------------------------------------
 
 _ORACLE_REJECTION_CAP = 64

@@ -144,7 +144,7 @@ def test_ac03_standin_structure(monkeypatch):
         w_star = w
     isolated_only = all(len(report.component_sizes) == 1 + report.isolated_people
                         for w, report in reports if w <= 28)
-    movies_attached = all(len(report.giant_movies) == g.n_movies
+    movies_attached = all(np.count_nonzero(report.movies_in_giant) == g.n_movies
                           for w, report in reports if w <= 29)
     ok = w_star == shape.split_width - 1 and isolated_only and movies_attached
     _report("AC03 (stand-in)", ok,

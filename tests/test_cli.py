@@ -744,6 +744,12 @@ def test_commands_run_without_scipy(tmp_path):
         done = subprocess.run([sys.executable, "-c", blocked, *args, "--out", str(tmp_path)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, (args, done.stderr)
+    # `python -m recgraph.cli`, as the benchmark starts every run, exits with main's status
+    for args, code in ((["sweep", *data, "--w-min", "1", "--w-max", "2"], 0),
+                       (["sweep", *data, "--no-such-flag"], 2)):
+        done = subprocess.run([sys.executable, "-m", "recgraph.cli", *args, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, (args, done.stderr)
     listed = ("import sys, recgraph.cli; "
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", listed], env=env, capture_output=True,

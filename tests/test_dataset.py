@@ -51,6 +51,7 @@ def test_basic_counts():
     assert g.n_movies == 2
     assert g.edge_count == 3
     assert g.duplicate_count == 0
+    assert repr(g) == "BipartiteRatings(n_people=2, n_movies=2, edges=3)"
 
 
 def test_duplicates_keep_first_and_count():
@@ -81,6 +82,9 @@ def test_stray_edge_endpoint_rejected():
 def test_negative_ids_rejected():
     with pytest.raises(ValueError):
         BipartiteRatings([(-1, 10)])
+    # as is a table whose rows are not (person, movie) pairs
+    with pytest.raises(ValueError, match="pairs"):
+        BipartiteRatings(np.ones((2, 3), dtype=np.int64))
 
 
 def test_adjacency_lookups():
@@ -140,6 +144,9 @@ def test_generic_csv_bad_header(tmp_path):
     path.write_text("a,b\n1,10\n")
     with pytest.raises(ParseError):
         load_ratings(path, GENERIC_CSV)
+    # a format name outside FORMATS is refused before the file is read
+    with pytest.raises(ValueError, match="unknown format"):
+        load_ratings(path, "xml")
 
 
 def test_duplicate_rows_counted_on_load(tmp_path):

@@ -71,6 +71,7 @@ def test_social_graph_basics():
     gs = social_graph([1, 2, 3], [(1, 2), (2, 1), (2, 3)])
     assert gs.n == 3
     assert gs.edge_count == 2  # the oracle lists (1,2) once across orientations
+    assert repr(gs) == "SocialGraph(n=3, edges=2)"
     assert adjacency(gs) == {1: {2}, 2: {1, 3}, 3: {2}}
     assert gs.degrees().tolist() == [1, 2, 1]
     assert [e.tolist() for e in gs.edges()] == [[0, 1], [1, 2]]

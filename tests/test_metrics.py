@@ -41,6 +41,7 @@ from oracles import (
     random_ratings,
     random_social,
     ratings_with_giant,
+    recommender_components_oracle,
     social_edges,
     social_graph,
     social_partition,
@@ -64,7 +65,10 @@ def test_partition_matches_union_find_oracle():
         report = connected_components(gs)
         sizes = [p for p, _ in report.component_sizes]
         expected = social_partition(gs)
-        assert set(report.giant_people) == giant_people_oracle(gs), f"seed {seed}"
+        assert report.people_in_giant.shape == (gs.n,)
+        assert report.movies_in_giant.shape == (0,)  # a social graph has no movies
+        assert set(gs.vertices[report.people_in_giant].tolist()) == giant_people_oracle(gs), \
+            f"seed {seed}"
         assert sorted(sizes, reverse=True) == sorted(
             (len(grp) for grp in expected), reverse=True), f"seed {seed}"
         assert sum(sizes) == gs.n
@@ -82,7 +86,7 @@ def test_isolated_people_counted():
 def test_not_shattered_when_secondary_component_has_edges():
     gs = social_graph([1, 2, 3, 4, 5], [(1, 2), (1, 3), (4, 5)])
     report = connected_components(gs)
-    assert set(report.giant_people) == {1, 2, 3}
+    assert gs.vertices[report.people_in_giant].tolist() == [1, 2, 3]
     assert report.isolated_people == 0  # the pair 4-5 is not isolated
 
 
@@ -96,30 +100,57 @@ def test_movie_assignment_follows_bigger_people_component():
          (1, 50), (4, 50)])
     gr = RecommenderGraph(g, apply_jump(g, 2))
     report = connected_components(gr)
-    assert set(report.giant_people) == {1, 2, 3}
-    assert 50 in report.giant_movies
+    assert g.people[report.people_in_giant].tolist() == [1, 2, 3]
+    assert g.movies[report.movies_in_giant].tolist() == [10, 11, 50]
 
 
-def test_movie_assignment_tie_breaks_to_smaller_person_id():
-    # two 2-person components each contribute one rater to movie 99
-    g = BipartiteRatings(
+def tie_table():
+    """Two 2-person components each contribute one rater to movie 99 (split at w=2)."""
+    return BipartiteRatings(
         [(1, 10), (1, 11), (2, 10), (2, 11),
          (3, 20), (3, 21), (4, 20), (4, 21),
          (2, 99), (3, 99)])
+
+
+def unrated_table():
+    """One rating, and movie 11 that nobody rated."""
+    return BipartiteRatings([(1, 10)], people=[1], movies=[10, 11])
+
+
+def test_movie_assignment_tie_breaks_to_smaller_person_id():
+    g = tie_table()
     gr = RecommenderGraph(g, apply_jump(g, 2))
     report = connected_components(gr)
     comps = {(p, m) for p, m in report.component_sizes}
     assert comps == {(2, 3), (2, 2)}
-    assert set(report.giant_people) == {1, 2}  # movie 99 breaks the tie
-    assert set(report.giant_movies) == {10, 11, 99}
+    assert g.people[report.people_in_giant].tolist() == [1, 2]  # movie 99 breaks the tie
+    assert g.movies[report.movies_in_giant].tolist() == [10, 11, 99]
 
 
 def test_unrated_movie_is_own_component():
-    g = BipartiteRatings([(1, 10)], people=[1], movies=[10, 11])
+    g = unrated_table()
     gr = RecommenderGraph(g, apply_jump(g, 1))
     report = connected_components(gr)
-    assert (0, 1) in report.component_sizes
-    assert 11 not in report.giant_movies
+    assert report.component_sizes == ((1, 1), (0, 1))
+    assert report.movies_in_giant.tolist() == [True, False]
+
+
+def test_recommender_components_match_oracle():
+    # random tables, then the tie and unrated-movie tables, at widths 1 to 3
+    tables = [random_ratings(seed) for seed in range(200)] + [tie_table(), unrated_table()]
+    for t, g in enumerate(tables):
+        for w in (1, 2, 3):
+            gs = apply_jump(g, w)
+            report = connected_components(RecommenderGraph(g, gs))
+            expected = recommender_components_oracle(g, gs)
+            assert report.component_sizes == tuple(
+                (len(people), len(movies)) for people, movies in expected), f"table {t} w {w}"
+            assert report.people_in_giant.dtype == report.movies_in_giant.dtype == bool
+            assert report.people_in_giant.shape == (g.n_people,)
+            assert report.movies_in_giant.shape == (g.n_movies,)
+            people, movies = expected[0]
+            assert set(g.people[report.people_in_giant].tolist()) == people, f"table {t} w {w}"
+            assert set(g.movies[report.movies_in_giant].tolist()) == movies, f"table {t} w {w}"
 
 
 def test_two_person_toy_splits_at_width_two():
@@ -146,22 +177,24 @@ def test_social_and_recommender_reports_share_one_labelling(monkeypatch):
         labelled.append(label(*args))
         return labelled[-1]
 
-    def reading(fn):
+    def reading(name, fn):
         def wrapper(values, *args, **kwargs):
-            reads.append(values)
+            reads.append((name, values))
             return fn(values, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(metrics, "component_labels", labelling)
-    monkeypatch.setattr(np, "bincount", reading(np.bincount))
-    monkeypatch.setattr(np, "unique", reading(np.unique))
     g = random_ratings(3)
     gs = apply_jump(g, 2)
     gr = RecommenderGraph(g, gs)
+    monkeypatch.setattr(metrics, "component_labels", labelling)
+    monkeypatch.setattr(np, "bincount", reading("bincount", np.bincount))
+    monkeypatch.setattr(np, "unique", reading("unique", np.unique))
     assert connected_components(gr).isolated_people == connected_components(gs).isolated_people
     assert len(labelled) == 1
-    # one count of people per label and one pass for the anchors, for both reports
-    assert sum(values is labelled[0] for values in reads) == 2
+    # one count of people per label for both reports; label order is the
+    # minimum-id order, so no pass looks the minimum ids up
+    assert [name for name, values in reads if values is labelled[0]] == ["bincount"]
+    assert "unique" not in [name for name, _ in reads]
 
 
 def test_component_type_check():
@@ -257,7 +290,8 @@ def test_joint_distribution_matches_loop_oracle():
             report = connected_components(gr)
             for largest_only, people, movies in (
                     (False, g.people.tolist(), g.movies.tolist()),
-                    (True, report.giant_people, report.giant_movies)):
+                    (True, g.people[report.people_in_giant].tolist(),
+                     g.movies[report.movies_in_giant].tolist())):
                 got = joint_degree_distribution(gr, largest_only=largest_only)
                 expected = joint_degree_loop(gr, people, movies)
                 assert got.counts == expected, \
@@ -330,12 +364,12 @@ def test_l_r_l_pm_match_floyd_warshall_oracle():
         movies = [int(m) for m in g.movies]
         pix, dist = recommender_distances(gr)
 
-        report = connected_components(gr)
-        if not report.giant_people:
+        in_giant = connected_components(gr).people_in_giant
+        if not in_giant.any():
             with pytest.raises(UndefinedMetricError):
                 measure_l_r_l_pm(gr)
             continue
-        sources = [pix[p] for p in report.giant_people]
+        sources = [pix[p] for p in g.people[in_giant].tolist()]
         exp_pp, n_pp = mean_over_pairs(dist, sources, list(range(len(people))))
         exp_pm, n_pm = mean_over_pairs(
             dist, sources, list(range(len(people), len(people) + len(movies))))
@@ -373,10 +407,11 @@ def test_path_means_match_floyd_warshall_past_one_word(giant, block_bytes, monke
                                 directed=False)
         pix, directed = recommender_distances(gr)
         n_p, n_all = g.n_people, g.n_people + g.n_movies
-        assert len(connected_components(gs).giant_people) == giant
+        # the oracle samples ids, the distance pass indices: the same people
+        giant_ids = gs.vertices[connected_components(gs).people_in_giant].tolist()
+        assert len(giant_ids) == giant
         for max_sources in (None, 40, 100):
-            sources, sampled = _pick_sources(connected_components(gs).giant_people,
-                                             max_sources, seed)
+            sources, sampled = _pick_sources(giant_ids, max_sources, seed)
             exp_pp, n_pp = mean_over_pairs(social, [index[v] for v in sources], range(n_p))
             with recorded_passes() as passes:
                 stats = measure_l_pp(gs, max_sources=max_sources, seed=seed)
@@ -385,8 +420,8 @@ def test_path_means_match_floyd_warshall_past_one_word(giant, block_bytes, monke
             ((_, _, levels),) = passes
             assert levels == distance_histogram(social, [index[v] for v in sources], n_p)
 
-            sources, sampled = _pick_sources(connected_components(gr).giant_people,
-                                             max_sources, seed)
+            sources, sampled = _pick_sources(
+                g.people[connected_components(gr).people_in_giant].tolist(), max_sources, seed)
             rows = [pix[p] for p in sources]
             exp_pp, n_pp = mean_over_pairs(directed, rows, range(n_p))
             exp_pm, n_pm = mean_over_pairs(directed, rows, range(n_p, n_all))
@@ -448,7 +483,7 @@ def test_slab_pull_matches_floyd_warshall_on_mixed_row_lengths(slab_word_levels,
     assert sorted(set(gr.social.degrees().tolist())) == [0, 4, 5, 6]
     assert sorted(set(np.diff(g.rater_csr().indptr).tolist())) == [0, 1, 5, 6]
     pix, directed = recommender_distances(gr)
-    sources = [pix[p] for p in connected_components(gr).giant_people]
+    sources = [pix[p] for p in g.people[connected_components(gr).people_in_giant].tolist()]
     assert len(sources) == n
     exp_pp, n_pp = mean_over_pairs(directed, sources, range(n + 1))
     exp_pm, n_pm = mean_over_pairs(directed, sources, range(n + 1, 2 * n + 3))
@@ -593,6 +628,10 @@ def test_l_pp_undefined_on_singleton_giant():
     gs = social_graph([1, 2, 3], [])
     with pytest.raises(UndefinedMetricError):
         measure_l_pp(gs)
+    # a table of movies and no people has no source for l_r
+    g = BipartiteRatings(np.empty((0, 2), dtype=np.int64), movies=[1, 2])
+    with pytest.raises(UndefinedMetricError):
+        measure_l_r_l_pm(RecommenderGraph(g, apply_jump(g, 1)))
 
 
 def test_sampled_sources_deterministic():
